@@ -7,45 +7,35 @@
 //! that used to live inside `profile_epoch_streaming_with`.
 //!
 //! ```text
-//!                    driver thread                 merge-stage thread
-//!   ┌─────────┐   ┌───────────┐  bounded(1)  ┌────────────┐ ┌──────┐ ┌──────┐
-//!   │ Round-  │──▶│ ShardFold │═════════════▶│ KeyedMerge │▶│ Gate │▶│ Sink │
-//!   │ Source  │   │ (executor)│◀═════════════│            │ │      │ │      │
-//!   └─────────┘   └───────────┘  stop+credit └────────────┘ └──────┘ └──────┘
+//!   ┌─────────┐   ┌───────────┐   ┌────────────┐   ┌──────┐   ┌──────┐
+//!   │ Round-  │──▶│ ShardFold │──▶│ KeyedMerge │──▶│ Gate │──▶│ Sink │
+//!   │ Source  │   │ (executor)│   │            │   │      │   │      │
+//!   └─────────┘   └───────────┘   └────────────┘   └──────┘   └──────┘
 //! ```
 //!
 //! * [`RoundSource`] walks the epoch plan in `round_len` blocks and
 //!   deals each block to per-shard [`ShardChunk`]s.
 //! * [`ShardFold`] executes one round's chunks through the
-//!   [`RoundExecutor`] seam. It runs on the **driver** thread — the
-//!   executor trait object is not `Send` (subprocess executors hold
-//!   pool borrows, test executors hold log borrows), and keeping it
-//!   here means a placement layer leases workers exactly at the fold
-//!   stage boundary.
+//!   [`RoundExecutor`] seam, so a placement layer leases workers exactly
+//!   at the fold stage boundary.
 //! * [`KeyedMerge`] folds the per-shard reports into the SL-keyed
 //!   round tracker, the shape memo, and the cost accounting.
-//! * [`Gate`] is the round-boundary decision surface: the Good–Turing
+//! * [`Gate`] is the round-boundary stop decision: the Good–Turing
 //!   saturation rule ([`SaturationGate`]) decides *stop*, and the
 //!   max-rounds/interrupt budget ([`BudgetGate`]) decides *pause*.
 //! * [`CheckpointSink`] renders the merged state into the periodic,
 //!   pause, and final checkpoint writes.
 //!
-//! Merge, gate, and sink run on a dedicated stage thread connected to
-//! the driver by capacity-1 [`pipe`] channels, so round `N + 1` folds
-//! while round `N` merges and checkpoints — and backpressure falls out
-//! of the channel bound instead of ad-hoc joins. Speculation is gated
-//! by the **credit** each gate reply carries
-//! ([`seqpoint_core::stream::StreamingSelector::stop_credit`]): a
-//! round of `n` iterations may launch before the previous merge lands
-//! only while `n < credit`, which is exactly the old
-//! `stop_possible_after` rule, so an early stop never pays for a round
-//! it would immediately discard.
+//! [`StreamGraph::run`] drives every stage on the calling thread, one
+//! round at a time: fold, merge, gate, sink, in that order. The fold is
+//! almost all of a round's time and parallelizes across shards inside
+//! the executor; merge, gate, and sink take well under a millisecond
+//! apiece, so nothing is gained by overlapping them with the next fold.
 //!
 //! Every operator records a [`StageSample`] per item into a caller-
-//! provided [`StageMeter`], giving a loaded pipeline per-stage
-//! observability (items in/out, stage wall-ms, channel depth) for free
-//! at construction time — `seqpoint serve` plugs its metrics registry
-//! in here.
+//! provided [`StageMeter`], giving per-stage observability (items
+//! in/out, stage wall-ms) for free at construction time — `seqpoint
+//! serve` plugs its metrics registry in here.
 //!
 //! Adding a new fold or gate is implementing one trait; see
 //! `docs/architecture.md` for the extension walkthrough.
@@ -124,14 +114,12 @@ pub struct StageSample {
     pub items_out: u64,
     /// Wall-clock milliseconds the stage spent on this unit.
     pub wall_ms: u64,
-    /// Depth of the stage's input channel when the sample was taken
-    /// (the live backpressure signal; `0` for unchanneled stages).
-    pub channel_depth: u64,
 }
 
 /// Observability hook attached at operator construction: each operator
 /// reports a [`StageSample`] per unit of work. Implementations must be
-/// cheap and non-blocking — samples arrive from both pipeline threads.
+/// cheap and non-blocking — one meter may serve concurrent runs (the
+/// service shares its registry across job runners).
 pub trait StageMeter: Sync {
     /// Record one unit of work for `stage`.
     fn record(&self, stage: StageId, sample: StageSample);
@@ -156,8 +144,6 @@ pub struct StageTally {
     pub items_out: u64,
     /// Total wall-clock milliseconds.
     pub wall_ms: u64,
-    /// Maximum observed input-channel depth.
-    pub max_depth: u64,
     /// Samples recorded.
     pub samples: u64,
 }
@@ -189,7 +175,6 @@ impl StageMeter for TallyMeter {
             slot.items_in += sample.items_in;
             slot.items_out += sample.items_out;
             slot.wall_ms += sample.wall_ms;
-            slot.max_depth = slot.max_depth.max(sample.channel_depth);
             slot.samples += 1;
         }
     }
@@ -197,121 +182,6 @@ impl StageMeter for TallyMeter {
 
 fn elapsed_ms(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
-pub mod pipe {
-    //! The bounded channels connecting pipeline stages.
-    //!
-    //! A minimal blocking SPSC channel: `send` blocks while the queue
-    //! is at capacity (backpressure), `recv` blocks while it is empty,
-    //! and dropping either end wakes and unblocks the other. The queue
-    //! depth is observable for the [`super::StageSample::channel_depth`]
-    //! gauge.
-    //!
-    //! Lock discipline: each endpoint operation takes the single
-    //! channel mutex (`chan` in `analysis/lock_order.toml`) and never
-    //! calls user code or another lock while holding it — the channel
-    //! is a leaf, strictly after every service lock.
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-    struct Core<T> {
-        queue: VecDeque<T>,
-        sender_alive: bool,
-        receiver_alive: bool,
-    }
-
-    struct Shared<T> {
-        capacity: usize,
-        chan: Mutex<Core<T>>,
-        cv: Condvar,
-    }
-
-    /// The sending half; dropping it lets `recv` drain and disconnect.
-    pub struct Sender<T>(Arc<Shared<T>>);
-
-    /// The receiving half; dropping it makes `send` fail fast.
-    pub struct Receiver<T>(Arc<Shared<T>>);
-
-    /// A bounded channel holding at most `capacity.max(1)` queued items.
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            capacity: capacity.max(1),
-            chan: Mutex::new(Core {
-                queue: VecDeque::new(),
-                sender_alive: true,
-                receiver_alive: true,
-            }),
-            cv: Condvar::new(),
-        });
-        (Sender(Arc::clone(&shared)), Receiver(shared))
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueue `value`, blocking while the channel is full.
-        ///
-        /// # Errors
-        ///
-        /// Returns the value back when the receiver is gone.
-        pub fn send(&self, value: T) -> Result<(), T> {
-            let mut core = self.0.chan.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if !core.receiver_alive {
-                    return Err(value);
-                }
-                if core.queue.len() < self.0.capacity {
-                    core.queue.push_back(value);
-                    self.0.cv.notify_all();
-                    return Ok(());
-                }
-                core = self.0.cv.wait(core).unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-
-        /// Items enqueued but not yet received — the live backpressure
-        /// depth this channel exerts on its producer.
-        pub fn depth(&self) -> usize {
-            let core = self.0.chan.lock().unwrap_or_else(PoisonError::into_inner);
-            core.queue.len()
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut core = self.0.chan.lock().unwrap_or_else(PoisonError::into_inner);
-            core.sender_alive = false;
-            drop(core);
-            self.0.cv.notify_all();
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Dequeue the next item, blocking while the channel is empty.
-        /// Returns `None` once the sender is gone and the queue drained.
-        pub fn recv(&self) -> Option<T> {
-            let mut core = self.0.chan.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(value) = core.queue.pop_front() {
-                    self.0.cv.notify_all();
-                    return Some(value);
-                }
-                if !core.sender_alive {
-                    return None;
-                }
-                core = self.0.cv.wait(core).unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut core = self.0.chan.lock().unwrap_or_else(PoisonError::into_inner);
-            core.receiver_alive = false;
-            drop(core);
-            self.0.cv.notify_all();
-        }
-    }
 }
 
 /// The `Source` operator: walks an [`EpochPlan`] in `round_len` blocks
@@ -359,7 +229,6 @@ impl<'p, 'm> RoundSource<'p, 'm> {
                 items_in: block.len() as u64,
                 items_out: chunks.len() as u64,
                 wall_ms: elapsed_ms(started),
-                channel_depth: 0,
             },
         );
         Some((chunks, block.len()))
@@ -367,10 +236,8 @@ impl<'p, 'm> RoundSource<'p, 'm> {
 }
 
 /// The `ShardFold` operator: per-shard measurement fold through the
-/// [`RoundExecutor`] seam. Runs on the driver thread — the executor is
-/// deliberately not `Send` (it may borrow a worker pool or test state),
-/// which also pins each placement's worker leasing to this stage
-/// boundary.
+/// [`RoundExecutor`] seam. Each placement leases its workers at this
+/// stage boundary, one `run_round` at a time.
 pub struct ShardFold<'e, 'm> {
     executor: &'e mut dyn RoundExecutor,
     shards: usize,
@@ -408,7 +275,6 @@ impl<'e, 'm> ShardFold<'e, 'm> {
                 items_in,
                 items_out: result.as_ref().map_or(0, |r| r.len() as u64),
                 wall_ms: elapsed_ms(started),
-                channel_depth: 0,
             },
         );
         let reports = result?;
@@ -503,7 +369,6 @@ impl<'m> KeyedMerge<'m> {
                 items_in: reports.len() as u64,
                 items_out: 1,
                 wall_ms: elapsed_ms(started),
-                channel_depth: 0,
             },
         );
         round
@@ -563,30 +428,15 @@ impl<'m> KeyedMerge<'m> {
 pub struct GateDecision {
     /// Measurement stops now; the rest of the plan replays.
     pub stop: bool,
-    /// Speculation credit: the next round may overlap this round's
-    /// downstream work only if its block length is **less than** this
-    /// many iterations (`0` = never speculate again).
-    pub credit: u64,
 }
 
-/// A round-boundary decision operator: early stop, pause, or both.
-/// [`SaturationGate`] implements the paper's Good–Turing stop;
-/// [`BudgetGate`] implements max-rounds/interrupt pausing; a
-/// changepoint detector (ROADMAP item 4) would be a third
+/// A round-boundary stop operator. [`SaturationGate`] implements the
+/// paper's Good–Turing stop; a changepoint detector would be a second
 /// implementation slotted into the same graph position.
 pub trait Gate {
-    /// Absorb one merged round tracker and decide stop + credit.
+    /// Absorb one merged round tracker and decide whether measurement
+    /// stops.
     fn after_round(&mut self, round: &OnlineSlTracker) -> GateDecision;
-
-    /// The current speculation credit, without absorbing anything.
-    fn credit(&self) -> u64;
-
-    /// Whether the run should pause at this round boundary, given how
-    /// many blocks this invocation has processed. Default: never.
-    fn pause_now(&mut self, blocks_this_run: u64) -> bool {
-        let _ = blocks_this_run;
-        false
-    }
 }
 
 /// The Good–Turing saturation [`Gate`]: owns the
@@ -640,10 +490,8 @@ impl<'m> SaturationGate<'m> {
 impl Gate for SaturationGate<'_> {
     fn after_round(&mut self, round: &OnlineSlTracker) -> GateDecision {
         let started = Instant::now();
-        let stop = self.selector.ingest_round(round);
         let decision = GateDecision {
-            stop,
-            credit: self.selector.stop_credit(),
+            stop: self.selector.ingest_round(round),
         };
         self.meter.record(
             StageId::Gate,
@@ -651,18 +499,13 @@ impl Gate for SaturationGate<'_> {
                 items_in: 1,
                 items_out: 1,
                 wall_ms: elapsed_ms(started),
-                channel_depth: 0,
             },
         );
         decision
     }
-
-    fn credit(&self) -> u64 {
-        self.selector.stop_credit()
-    }
 }
 
-/// The pause [`Gate`]: trips after [`CheckpointOptions::max_rounds`]
+/// The pause budget: trips after [`CheckpointOptions::max_rounds`]
 /// blocks or when the interrupt hook reports true — but only when a
 /// checkpoint policy exists (without one there is nowhere to persist a
 /// pause, so the hook is ignored, as the sequential loop did). The
@@ -687,21 +530,10 @@ impl<'a> BudgetGate<'a> {
             armed: checkpoint.is_some(),
         }
     }
-}
 
-impl Gate for BudgetGate<'_> {
-    fn after_round(&mut self, _round: &OnlineSlTracker) -> GateDecision {
-        GateDecision {
-            stop: false,
-            credit: u64::MAX,
-        }
-    }
-
-    fn credit(&self) -> u64 {
-        u64::MAX
-    }
-
-    fn pause_now(&mut self, blocks_this_run: u64) -> bool {
+    /// Whether the run should pause at this round boundary, given how
+    /// many blocks this invocation has processed.
+    pub fn pause_now(&mut self, blocks_this_run: u64) -> bool {
         self.armed
             && (self.max_rounds.is_some_and(|m| blocks_this_run >= m)
                 || self.interrupt.is_some_and(|f| f()))
@@ -711,7 +543,7 @@ impl Gate for BudgetGate<'_> {
 /// The `Sink` operator: renders the merged state into [`StreamCheckpoint`]
 /// writes — periodic (every `every_rounds` blocks), pause, and final.
 /// With no checkpoint policy every write is a no-op, and pausing is
-/// impossible ([`Self::can_pause`]).
+/// impossible.
 pub struct CheckpointSink<'a, 'm> {
     policy: Option<&'a CheckpointOptions>,
     fingerprint: u64,
@@ -761,7 +593,6 @@ impl<'a, 'm> CheckpointSink<'a, 'm> {
                 items_in: 1,
                 items_out: 1,
                 wall_ms: elapsed_ms(started),
-                channel_depth: 0,
             },
         );
         Ok(())
@@ -788,17 +619,13 @@ impl<'a, 'm> CheckpointSink<'a, 'm> {
         Ok(())
     }
 
-    /// Whether a pause can be persisted (a checkpoint policy exists).
-    pub fn can_pause(&self) -> bool {
-        self.policy.is_some()
-    }
-
     /// Persist the state unconditionally and describe the pause point.
     ///
     /// # Errors
     ///
     /// [`ProfileError::Checkpoint`] from the write, or when no policy
-    /// exists (callers must check [`Self::can_pause`] first).
+    /// exists ([`BudgetGate`] only arms with one, so the graph never
+    /// asks).
     pub fn pause(
         &mut self,
         selector: &StreamingSelector,
@@ -830,199 +657,6 @@ impl<'a, 'm> CheckpointSink<'a, 'm> {
         merge: &KeyedMerge,
     ) -> Result<(), ProfileError> {
         self.write(selector, merge)
-    }
-}
-
-/// A round travelling from the driver to the merge stage.
-enum MergeMsg {
-    /// One executed round's reports and its block length.
-    Round {
-        reports: Vec<ShardReport>,
-        block_len: usize,
-    },
-    /// Persist a pause snapshot and report the pause point.
-    Pause,
-}
-
-/// The merge stage's answer to one [`MergeMsg`].
-enum MergeReply {
-    /// The gate's verdict after absorbing a round.
-    Round { stop: bool, credit: u64 },
-    /// The persisted pause point.
-    Paused(StreamPause),
-}
-
-fn stage_disconnected() -> ProfileError {
-    ProfileError::Executor {
-        message: "pipeline merge stage disconnected".to_owned(),
-    }
-}
-
-/// The merge-stage thread body: KeyedMerge → Gate → Sink over each
-/// received round, replying with the gate verdict so the driver can
-/// decide speculation. Returns the operators so the replay phase can
-/// continue with their state on the driver.
-fn merge_stage<'a, 'm>(
-    rounds: pipe::Receiver<MergeMsg>,
-    replies: pipe::Sender<Result<MergeReply, ProfileError>>,
-    mut merge: KeyedMerge<'m>,
-    mut gate: SaturationGate<'m>,
-    mut sink: CheckpointSink<'a, 'm>,
-) -> (KeyedMerge<'m>, SaturationGate<'m>, CheckpointSink<'a, 'm>) {
-    while let Some(msg) = rounds.recv() {
-        let reply = match msg {
-            MergeMsg::Round { reports, block_len } => {
-                let round = merge.absorb(&reports, block_len);
-                let decision = gate.after_round(&round);
-                sink.on_round(gate.selector(), &merge)
-                    .map(|()| MergeReply::Round {
-                        stop: decision.stop,
-                        credit: decision.credit,
-                    })
-            }
-            MergeMsg::Pause => sink.pause(gate.selector(), &merge).map(MergeReply::Paused),
-        };
-        if replies.send(reply).is_err() {
-            break;
-        }
-    }
-    (merge, gate, sink)
-}
-
-/// How the measure phase ended. The settled operators are boxed so the
-/// enum stays pause-variant sized.
-enum MeasureEnd<'a, 'm> {
-    /// Stopped or drained; the operators return for the replay phase.
-    Settled(Box<(KeyedMerge<'m>, SaturationGate<'m>, CheckpointSink<'a, 'm>)>),
-    /// Paused; state is persisted at the returned point.
-    Paused(StreamPause),
-}
-
-/// The driver loop of the measure phase: fold rounds on this thread
-/// while the previous round merges/gates/sinks on the stage thread,
-/// with speculation bounded by the gate's credit.
-#[allow(clippy::too_many_arguments)]
-fn drive_rounds(
-    source: &mut RoundSource<'_, '_>,
-    fold: &mut ShardFold<'_, '_>,
-    to_merge: &pipe::Sender<MergeMsg>,
-    from_merge: &pipe::Receiver<Result<MergeReply, ProfileError>>,
-    initial_credit: u64,
-    budget: &mut BudgetGate<'_>,
-    blocks_this_run: &mut u64,
-    can_pause: bool,
-    meter: &dyn StageMeter,
-) -> Result<Option<StreamPause>, ProfileError> {
-    // Receive the merge stage's verdict for the round just submitted.
-    let recv_verdict = || -> Result<(bool, u64), ProfileError> {
-        match from_merge.recv() {
-            Some(reply) => match reply? {
-                MergeReply::Round { stop, credit } => Ok((stop, credit)),
-                MergeReply::Paused(_) => Err(stage_disconnected()),
-            },
-            None => Err(stage_disconnected()),
-        }
-    };
-    let submit = |reports: Vec<ShardReport>, block_len: usize| -> Result<(), ProfileError> {
-        to_merge
-            .send(MergeMsg::Round { reports, block_len })
-            .map_err(|_| stage_disconnected())?;
-        // The send's residual queue depth is the backpressure the merge
-        // stage currently exerts on the driver.
-        meter.record(
-            StageId::Merge,
-            StageSample {
-                items_in: 0,
-                items_out: 0,
-                wall_ms: 0,
-                channel_depth: to_merge.depth() as u64,
-            },
-        );
-        Ok(())
-    };
-
-    // The round handed to the fold but not yet submitted to the merge
-    // stage, with its block length. An executor error parks here until
-    // the merge boundary — after the previous round's checkpoint
-    // landed, the same position the sequential loop surfaced it from.
-    let mut exec_result: Option<(Result<Vec<ShardReport>, ProfileError>, usize)> = None;
-    let mut credit = initial_credit;
-    loop {
-        // Reports of round N, error-checked before any new work is
-        // dispatched on a placement that just failed.
-        let pending = match exec_result.take() {
-            Some((result, block_len)) => Some((result?, block_len)),
-            None => None,
-        };
-        let stopped = match pending {
-            Some((reports, block_len)) => {
-                if block_len as u64 >= credit {
-                    // Merging round N may fire the stop, so round N+1
-                    // waits for the verdict — speculating here would
-                    // measure a full round the stop then discards.
-                    submit(reports, block_len)?;
-                    let (stop, new_credit) = recv_verdict()?;
-                    *blocks_this_run += 1;
-                    credit = new_credit;
-                    if !stop {
-                        if let Some((chunks, launch_len)) = source.next_round() {
-                            exec_result = Some((fold.run_round(&chunks), launch_len));
-                        }
-                    }
-                    stop
-                } else if let Some((chunks, launch_len)) = source.next_round() {
-                    // Steady state: the stop provably cannot fire at
-                    // this merge (credit exceeds the block), so round
-                    // N+1 folds here while round N merges and
-                    // checkpoints on the stage thread.
-                    submit(reports, block_len)?;
-                    let result = fold.run_round(&chunks);
-                    exec_result = Some((result, launch_len));
-                    let (stop, new_credit) = recv_verdict()?;
-                    *blocks_this_run += 1;
-                    credit = new_credit;
-                    stop
-                } else {
-                    // Plan exhausted: drain the last round, nothing
-                    // overlaps.
-                    submit(reports, block_len)?;
-                    let (stop, new_credit) = recv_verdict()?;
-                    *blocks_this_run += 1;
-                    credit = new_credit;
-                    stop
-                }
-            }
-            // Pipeline fill: the very first round has no predecessor.
-            None => match source.next_round() {
-                Some((chunks, launch_len)) => {
-                    exec_result = Some((fold.run_round(&chunks), launch_len));
-                    false
-                }
-                None => return Ok(None),
-            },
-        };
-        if stopped {
-            // Discard any speculative round: the replay phase covers
-            // those iterations from the shape memo.
-            return Ok(None);
-        }
-        // Round-boundary pause check, polled once per launched round
-        // exactly as the sequential loop polled once per executed
-        // round. Only while more measure work is in flight — a fully
-        // drained measure phase hands control to the replay loop,
-        // which runs its own boundary checks.
-        if exec_result.is_some() && can_pause && budget.pause_now(*blocks_this_run) {
-            to_merge
-                .send(MergeMsg::Pause)
-                .map_err(|_| stage_disconnected())?;
-            match from_merge.recv() {
-                Some(reply) => match reply? {
-                    MergeReply::Paused(pause) => return Ok(Some(pause)),
-                    MergeReply::Round { .. } => return Err(stage_disconnected()),
-                },
-                None => return Err(stage_disconnected()),
-            }
-        }
     }
 }
 
@@ -1224,8 +858,9 @@ impl<'e, 'p, 'x, 'm> StreamGraph<'e, 'p, 'x, 'm> {
         let mut budget = BudgetGate::new(self.checkpoint, self.interrupt);
         let mut blocks_this_run: u64 = 0;
 
-        // Measure phase: the pipelined part of the graph.
-        if !gate.should_stop() && merge.consumed() < total_iterations {
+        // Measure phase: fold, merge, gate and sink each round in turn,
+        // polling the pause budget before each fold.
+        if !gate.should_stop() {
             let mut source = RoundSource::new(
                 self.plan,
                 self.options.round_len,
@@ -1233,41 +868,18 @@ impl<'e, 'p, 'x, 'm> StreamGraph<'e, 'p, 'x, 'm> {
                 self.options.shards,
                 self.meter,
             );
-            let can_pause = sink.can_pause();
-            let initial_credit = gate.credit();
-            let (to_merge, round_rx) = pipe::bounded::<MergeMsg>(1);
-            let (reply_tx, from_merge) = pipe::bounded::<Result<MergeReply, ProfileError>>(1);
-            let meter = self.meter;
-            let end = std::thread::scope(|scope| -> Result<MeasureEnd<'x, 'm>, ProfileError> {
-                let stage = scope.spawn(move || merge_stage(round_rx, reply_tx, merge, gate, sink));
-                let outcome = drive_rounds(
-                    &mut source,
-                    &mut fold,
-                    &to_merge,
-                    &from_merge,
-                    initial_credit,
-                    &mut budget,
-                    &mut blocks_this_run,
-                    can_pause,
-                    meter,
-                );
-                // Close the round channel so the stage thread winds
-                // down, then recover the operators (or propagate a
-                // stage panic).
-                drop(to_merge);
-                let (merge, gate, sink) = match stage.join() {
-                    Ok(state) => state,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                match outcome? {
-                    Some(pause) => Ok(MeasureEnd::Paused(pause)),
-                    None => Ok(MeasureEnd::Settled(Box::new((merge, gate, sink)))),
+            while let Some((chunks, block_len)) = source.next_round() {
+                if budget.pause_now(blocks_this_run) {
+                    let pause = sink.pause(gate.selector(), &merge)?;
+                    return Ok(StreamOutcome::Paused(pause));
                 }
-            })?;
-            match end {
-                MeasureEnd::Paused(pause) => return Ok(StreamOutcome::Paused(pause)),
-                MeasureEnd::Settled(settled) => {
-                    (merge, gate, sink) = *settled;
+                let reports = fold.run_round(&chunks)?;
+                let round = merge.absorb(&reports, block_len);
+                let decision = gate.after_round(&round);
+                sink.on_round(gate.selector(), &merge)?;
+                blocks_this_run += 1;
+                if decision.stop {
+                    break;
                 }
             }
         }
@@ -1321,9 +933,7 @@ impl<'e, 'p, 'x, 'm> StreamGraph<'e, 'p, 'x, 'm> {
 mod tests {
     use super::*;
     use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::OnceLock;
-    use std::time::Duration;
 
     use gpu_sim::{Device, GpuConfig};
     use proptest::prelude::*;
@@ -1396,7 +1006,7 @@ mod tests {
     }
 
     #[test]
-    fn tally_meter_accumulates_and_keeps_the_depth_high_water() {
+    fn tally_meter_accumulates_per_stage() {
         let meter = TallyMeter::new();
         meter.record(
             StageId::Merge,
@@ -1404,7 +1014,6 @@ mod tests {
                 items_in: 3,
                 items_out: 1,
                 wall_ms: 7,
-                channel_depth: 3,
             },
         );
         meter.record(
@@ -1413,57 +1022,14 @@ mod tests {
                 items_in: 2,
                 items_out: 1,
                 wall_ms: 1,
-                channel_depth: 1,
             },
         );
         let merge = meter.tally(StageId::Merge);
         assert_eq!(merge.items_in, 5);
         assert_eq!(merge.items_out, 2);
         assert_eq!(merge.wall_ms, 8);
-        assert_eq!(merge.max_depth, 3, "high-water must survive lower samples");
         assert_eq!(merge.samples, 2);
         assert_eq!(meter.tally(StageId::Sink), StageTally::default());
-    }
-
-    #[test]
-    fn pipe_delivers_in_order_and_unblocks_on_disconnect() {
-        // Sender drop: the queue drains, then the receiver disconnects.
-        let (tx, rx) = pipe::bounded(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), None);
-
-        // Receiver drop: a send fails fast and hands the value back.
-        let (tx, rx) = pipe::bounded::<u8>(1);
-        drop(rx);
-        assert_eq!(tx.send(9), Err(9));
-    }
-
-    #[test]
-    fn pipe_send_blocks_at_capacity_until_a_recv() {
-        let (tx, rx) = pipe::bounded(1);
-        tx.send(1).unwrap();
-        assert_eq!(tx.depth(), 1);
-        let second_landed = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                tx.send(2).unwrap();
-                second_landed.store(true, Ordering::SeqCst);
-            });
-            // The channel holds one item; the second send must still be
-            // parked after a generous grace period.
-            std::thread::sleep(Duration::from_millis(50));
-            assert!(
-                !second_landed.load(Ordering::SeqCst),
-                "send overflowed the capacity bound"
-            );
-            assert_eq!(rx.recv(), Some(1));
-            assert_eq!(rx.recv(), Some(2));
-        });
-        assert!(second_landed.load(Ordering::SeqCst));
     }
 
     #[test]
@@ -1610,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn saturation_gate_credit_is_monotone_and_zero_at_stop() {
+    fn saturation_gate_stops_a_saturated_stream() {
         let config = StreamConfig {
             saturation_window: 300,
             unseen_threshold: 0.0,
@@ -1619,33 +1185,16 @@ mod tests {
         };
         let meter = TallyMeter::new();
         let mut gate = SaturationGate::resume(StreamingSelector::with_config(config), &meter);
-        let mut last_credit = gate.credit();
         let mut stopped = false;
-        for round_index in 0..100 {
+        for _ in 0..100 {
             let mut round = OnlineSlTracker::new();
             round.observe_n(40, 1.5, 30);
-            let decision = gate.after_round(&round);
-            assert_eq!(
-                decision.credit,
-                gate.credit(),
-                "decision and gate must agree on the credit"
-            );
-            if decision.stop {
-                assert_eq!(decision.credit, 0, "a stopped gate must refuse speculation");
+            if gate.after_round(&round).stop {
                 stopped = true;
                 break;
             }
-            // No new SL arrived, so the window keeps closing: the credit
-            // shrinks monotonically toward the stop.
-            assert!(
-                decision.credit < last_credit,
-                "round {round_index}: credit {} did not shrink from {last_credit}",
-                decision.credit
-            );
-            last_credit = decision.credit;
         }
         assert!(stopped, "a saturated stream must stop within the window");
-        assert_eq!(gate.credit(), 0);
         assert_eq!(
             meter.tally(StageId::Gate).items_in,
             meter.tally(StageId::Gate).samples
@@ -1699,7 +1248,6 @@ mod tests {
         let selector = StreamingSelector::with_config(StreamConfig::default());
         let merge = KeyedMerge::new(&meter);
         let mut sink = CheckpointSink::new(Some(&policy), 99, 640, &meter);
-        assert!(sink.can_pause());
         sink.on_round(&selector, &merge).unwrap();
         assert!(!ckpt.path().exists(), "one round is below the cadence");
         sink.on_round(&selector, &merge).unwrap();
@@ -1716,7 +1264,6 @@ mod tests {
 
         // No policy: writes are no-ops and pausing is impossible.
         let mut silent = CheckpointSink::new(None, 0, 10, &meter);
-        assert!(!silent.can_pause());
         silent.on_round(&selector, &merge).unwrap();
         assert!(silent.pause(&selector, &merge).is_err());
         assert_eq!(meter.tally(StageId::Sink).samples, 3);

@@ -8,21 +8,18 @@
 //! profile concurrently on their own thread (one simulated device each,
 //! as in [`crate::parallel`]), and the per-shard
 //! [`OnlineSlTracker`] states are merged into a
-//! [`StreamingSelector`] after every round. The round loop is
-//! software-pipelined: while round N's reports merge (and its periodic
-//! checkpoint writes) on a helper thread, round N+1 is already
-//! executing on the placement — the stop/pause decision lands one round
-//! late, and the speculatively executed round is simply discarded,
-//! exactly what a resumed run would redo. Once the sequence-length
-//! space saturates, the harness stops *executing* iterations and keeps
-//! consuming the rest of the plan as free shape metadata: an iteration
-//! whose `(seq_len, samples)` shape was already profiled is replayed
-//! against the recorded statistic (the paper's key observation 4 —
-//! identical shapes behave identically), and a never-seen shape is
-//! profiled on demand. Whole-epoch counts *and* per-SL statistic sums
-//! stay exact, so the selection matches the full-epoch path while only
-//! a fraction of the iterations were ever executed — and the full
-//! per-iteration epoch log never exists anywhere.
+//! [`StreamingSelector`] after every round, before the next round is
+//! dealt, so a stop or pause never wastes a measured round. Once the
+//! sequence-length space saturates, the harness stops *executing*
+//! iterations and keeps consuming the rest of the plan as free shape
+//! metadata: an iteration whose `(seq_len, samples)` shape was already
+//! profiled is replayed against the recorded statistic (the paper's key
+//! observation 4 — identical shapes behave identically), and a
+//! never-seen shape is profiled on demand. Whole-epoch counts *and*
+//! per-SL statistic sums stay exact, so the selection matches the
+//! full-epoch path while only a fraction of the iterations were ever
+//! executed — and the full per-iteration epoch log never exists
+//! anywhere.
 //!
 //! # Placement abstraction
 //!
@@ -312,7 +309,7 @@ impl RoundExecutor for ThreadExecutor<'_> {
         let network = self.network;
         let device = &self.device;
         let stat = self.stat;
-        let reports: Vec<ShardReport> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .memos
                 .iter_mut()
@@ -323,12 +320,18 @@ impl RoundExecutor for ThreadExecutor<'_> {
                         .spawn(move || execute_chunk(profiler, network, &device, stat, memo, chunk))
                 })
                 .collect();
-            handles
+            // Join every shard before looking at any result: a handle left
+            // unjoined would re-raise its panic when the scope ends.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            joined
                 .into_iter()
-                .map(|h| h.join().expect("profiling shard panicked"))
+                .map(|result| {
+                    result.map_err(|_| ProfileError::Executor {
+                        message: "profiling shard panicked".to_owned(),
+                    })
+                })
                 .collect()
-        });
-        Ok(reports)
+        })
     }
 
     fn profile_shape(&mut self, shape: IterationShape) -> Result<IterationProfile, ProfileError> {
@@ -358,6 +361,7 @@ pub fn execute_chunk(
     let mut tracker = OnlineSlTracker::new();
     let mut chunk_time_s = 0.0;
     let mut shape_keys: Vec<(u32, u32)> = Vec::new();
+    let mut shapes: Vec<IterationProfile> = Vec::new();
     for batch in &chunk.batches {
         let key = (batch.seq_len, batch.samples);
         let profile = memo.entry(key).or_insert_with(|| {
@@ -368,9 +372,9 @@ pub fn execute_chunk(
         chunk_time_s += profile.time_s;
         if !shape_keys.contains(&key) {
             shape_keys.push(key);
+            shapes.push(profile.clone());
         }
     }
-    let shapes = shape_keys.iter().map(|key| memo[key].clone()).collect();
     ShardReport {
         tracker,
         chunk_time_s,
@@ -514,7 +518,11 @@ pub fn profile_epoch_streaming(
     let fingerprint = stream_fingerprint(network, plan, device, options);
     match profile_epoch_streaming_with(&mut executor, plan, options, fingerprint, None, None)? {
         StreamOutcome::Complete(profile) => Ok(profile),
-        StreamOutcome::Paused(_) => unreachable!("pausing requires a checkpoint policy"),
+        // Pausing needs a checkpoint policy, and this entry point has none.
+        StreamOutcome::Paused(pause) => Err(checkpoint_error(
+            &pause.path,
+            "cannot pause without a checkpoint policy",
+        )),
     }
 }
 
@@ -571,12 +579,11 @@ pub fn profile_epoch_streaming_checkpointed(
 /// `seqpoint serve` uses on SIGTERM. Without a checkpoint policy the
 /// hook is ignored (there is nowhere to persist the pause).
 ///
-/// The measure phase overlaps round N+1's execution with round N's
-/// merge and checkpoint, so a pause or stop may discard one
-/// speculatively executed round; the persisted state never includes it,
-/// and the resumed run re-executes it bit-identically. Executors see at
-/// most one `execute_round` call at a time — the overlap never calls
-/// the executor concurrently with itself.
+/// Rounds run one at a time on the calling thread: each round is
+/// executed, merged, checked against the stop rule, and checkpointed
+/// before the pause check for the next one, so every `execute_round`
+/// call lands in the persisted state and a resumed run starts with the
+/// plan's next block.
 ///
 /// This is a thin assembly wrapper over the canonical operator graph,
 /// [`crate::pipeline::StreamGraph`]; callers that want per-stage
@@ -1218,8 +1225,8 @@ mod tests {
     }
 
     /// A [`ThreadExecutor`] wrapper recording the (sorted) batch
-    /// multiset of every `execute_round` call — the witness that the
-    /// pipelined loop speculated, discarded, and replayed.
+    /// multiset of every `execute_round` call — the witness of which
+    /// rounds a run executed, and in what order.
     struct RecordingExecutor<'a> {
         inner: ThreadExecutor<'a>,
         rounds: Vec<Vec<BatchShape>>,
@@ -1300,7 +1307,7 @@ mod tests {
     }
 
     #[test]
-    fn every_round_boundary_discards_the_speculative_round_and_replays_it() {
+    fn every_round_boundary_resumes_bit_identically() {
         // A 6k-sentence epoch saturates in a handful of rounds, keeping
         // the boundary sweep (a full resume per boundary) affordable.
         let corpus = Corpus::iwslt15_like(6_000, 13);
@@ -1318,9 +1325,8 @@ mod tests {
             profile_epoch_streaming(&profiler, &net, &plan, &device, &options).unwrap();
 
         // Kill at every round boundary in turn (fresh checkpoint each
-        // time). Every boundary of the pipelined measure loop is
-        // exercised; once the pauses move into the (sequential) replay
-        // phase, two more suffice — nothing speculates there.
+        // time). Every boundary of the measure phase is exercised; once
+        // the pauses move into the replay phase, two more suffice.
         let mut boundary: u64 = 0;
         let mut replay_pauses = 0;
         loop {
@@ -1347,20 +1353,24 @@ mod tests {
             let StreamOutcome::Paused(pause) = outcome else {
                 break; // budget outlived the run: every boundary covered
             };
-            let merged = pause.rounds_ingested as usize;
-            // While measurement was still running, the loop had already
-            // launched exactly one round beyond what it merged — the
-            // speculation. (A pause inside the replay phase launches
-            // nothing new.)
-            if killed.rounds.len() > merged {
-                assert_eq!(
-                    killed.rounds.len(),
-                    merged + 1,
-                    "boundary {boundary}: exactly one speculative round"
-                );
-            } else {
+            // Replay blocks count against the budget but ingest no
+            // rounds, so a replay-phase pause has merged fewer rounds
+            // than the budget allowed.
+            if u64::from(pause.rounds_ingested) < boundary {
                 replay_pauses += 1;
             }
+            // Nothing runs ahead of the merge: every executed round is
+            // in the persisted state.
+            assert_eq!(
+                killed.rounds.len(),
+                pause.rounds_ingested as usize,
+                "boundary {boundary}: the executor ran exactly rounds_ingested rounds"
+            );
+            let still_measuring = read_checkpoint(ckpt.path())
+                .unwrap()
+                .selector()
+                .stopped_at()
+                .is_none();
             let mut resumed_exec =
                 RecordingExecutor::new(&profiler, &net, device.clone(), &options);
             let resumed = match profile_epoch_streaming_with(
@@ -1376,22 +1386,33 @@ mod tests {
                 StreamOutcome::Complete(profile) => profile,
                 StreamOutcome::Paused(_) => panic!("resume without a budget must complete"),
             };
-            // The in-flight round was not persisted: the resumed run
-            // re-executes that exact block first, and the end-to-end
-            // outcome is bit-identical to the uninterrupted run.
             assert_eq!(resumed, uninterrupted, "boundary {boundary}");
-            if killed.rounds.len() > merged && !resumed_exec.rounds.is_empty() {
+            // A resumed run that still measures picks up with the plan's
+            // next block; one past the stop executes no rounds at all.
+            if still_measuring {
+                let start = pause.iterations_consumed as usize;
+                let end = (start + options.round_len).min(plan.iterations());
+                // Flattened and sorted as `RecordingExecutor` records it.
+                let mut next: Vec<BatchShape> =
+                    deal_round(&plan.batches()[start..end], start, options.shards)
+                        .into_iter()
+                        .flat_map(|c| c.batches)
+                        .collect();
+                next.sort_by_key(|b| (b.seq_len, b.samples));
                 assert_eq!(
-                    resumed_exec.rounds[0], killed.rounds[merged],
-                    "boundary {boundary}: the discarded round is replayed first"
+                    resumed_exec.rounds.first(),
+                    Some(&next),
+                    "boundary {boundary}: the resumed run starts at the next block"
                 );
+            } else {
+                assert!(resumed_exec.rounds.is_empty(), "boundary {boundary}");
             }
         }
         assert!(boundary > 3, "expected several boundaries, got {boundary}");
     }
 
     #[test]
-    fn speculative_round_failure_is_discarded_by_a_pause_and_surfaces_at_a_merge() {
+    fn round_failure_past_a_pause_never_runs_and_otherwise_keeps_the_last_checkpoint() {
         let (net, plan) = big_workload();
         let device = device();
         let profiler = Profiler::new();
@@ -1415,9 +1436,9 @@ mod tests {
             fail_on,
         };
 
-        // With a 2-round budget the 3rd round is still speculative at
-        // the pause boundary, so its injected failure is discarded with
-        // it — the pause wins, not the error.
+        // With a 2-round budget the run pauses before the 3rd round is
+        // executed, so its injected failure never happens — the pause
+        // wins, not the error.
         let ckpt = TempCheckpoint::new("flaky-paused");
         let outcome = profile_epoch_streaming_with(
             &mut executor(3),
@@ -1435,8 +1456,8 @@ mod tests {
         assert!(matches!(outcome, StreamOutcome::Paused(_)));
 
         // Without the budget the same failure surfaces as an executor
-        // error at the next merge boundary — after round 2's checkpoint
-        // landed, so the state on disk is still consistent.
+        // error from the 3rd round — after round 2's checkpoint landed,
+        // so the state on disk is still consistent.
         let ckpt2 = TempCheckpoint::new("flaky-error");
         let err = profile_epoch_streaming_with(
             &mut executor(3),

@@ -242,11 +242,6 @@ pub const CATALOG: &[MetricDef] = &[
         "Wall milliseconds spent per streaming-pipeline stage.",
     ),
     gauge(
-        "seqpoint_stage_channel_depth",
-        "stage",
-        "High-water input-channel depth observed per pipeline stage.",
-    ),
-    gauge(
         "seqpoint_queue_depth",
         "class",
         "Jobs waiting in the scheduler queue, per fairness class.",
@@ -467,8 +462,6 @@ struct StageCounters {
     items_in: AtomicU64,
     items_out: AtomicU64,
     wall_ms: AtomicU64,
-    /// High-water input-channel depth (backpressure indicator).
-    depth: AtomicU64,
 }
 
 /// Per-client accumulation (wire traffic + job submissions).
@@ -823,7 +816,6 @@ impl MetricsRegistry {
                 "seqpoint_stage_items_in_total" => by_stage(&mut out, |s| &s.items_in),
                 "seqpoint_stage_items_out_total" => by_stage(&mut out, |s| &s.items_out),
                 "seqpoint_stage_wall_ms_total" => by_stage(&mut out, |s| &s.wall_ms),
-                "seqpoint_stage_channel_depth" => by_stage(&mut out, |s| &s.depth),
                 "seqpoint_queue_depth" => by_class(&mut out, |c| &c.queue_depth),
                 "seqpoint_queue_wait_ms_total" => by_class(&mut out, |c| &c.queue_wait_ms_total),
                 "seqpoint_queue_dequeued_total" => by_class(&mut out, |c| &c.dequeued_total),
@@ -875,8 +867,6 @@ impl StageMeter for MetricsRegistry {
             slot.items_out
                 .fetch_add(sample.items_out, Ordering::Relaxed);
             slot.wall_ms.fetch_add(sample.wall_ms, Ordering::Relaxed);
-            slot.depth
-                .fetch_max(sample.channel_depth, Ordering::Relaxed);
         }
     }
 }
@@ -986,7 +976,6 @@ mod tests {
                 items_in: 64,
                 items_out: 3,
                 wall_ms: 9,
-                channel_depth: 0,
             },
         );
         std::mem::forget(conn); // keep the per-conn series alive
@@ -1004,7 +993,6 @@ mod tests {
                 items_in: 4,
                 items_out: 1,
                 wall_ms: 2,
-                channel_depth: 0,
             },
         );
         registry.record(
@@ -1013,24 +1001,20 @@ mod tests {
                 items_in: 0,
                 items_out: 0,
                 wall_ms: 0,
-                channel_depth: 1,
             },
         );
-        // Depth is a high-water mark: a later zero sample keeps it.
         registry.record(
             StageId::Merge,
             StageSample {
                 items_in: 4,
                 items_out: 1,
                 wall_ms: 1,
-                channel_depth: 0,
             },
         );
         let text = registry.render(&RenderGauges::default());
         assert!(text.contains("seqpoint_stage_items_in_total{stage=\"merge\"} 8"));
         assert!(text.contains("seqpoint_stage_items_out_total{stage=\"merge\"} 2"));
         assert!(text.contains("seqpoint_stage_wall_ms_total{stage=\"merge\"} 3"));
-        assert!(text.contains("seqpoint_stage_channel_depth{stage=\"merge\"} 1"));
         // Idle stages still expose their series at zero.
         assert!(text.contains("seqpoint_stage_items_in_total{stage=\"sink\"} 0"));
     }

@@ -1331,8 +1331,8 @@ fn runner_loop(shared: Arc<Shared>) {
         let Some(id) = shared.sched.pop_timeout(Duration::from_millis(200)) else {
             continue;
         };
-        // A panic inside a job (a poisoned lock, a shard-thread panic)
-        // must cost that job, not the runner slot: an unwinding runner
+        // A panic inside a job (a poisoned lock, a selection bug) must
+        // cost that job, not the runner slot: an unwinding runner
         // thread would silently halve the daemon's capacity and leave
         // the job stuck in Running with waiters blocked forever.
         let outcome =

@@ -123,6 +123,23 @@ re-records the frame digest after a deliberate PROTOCOL_VERSION bump.
 
 Epoch-log CSV format: one `seq_len,stat` pair per line (header optional).";
 
+/// Every subcommand, as `seqpoint help CMD` accepts it.
+const COMMANDS: &[&str] = &[
+    "simulate",
+    "identify",
+    "baselines",
+    "project",
+    "stream",
+    "serve",
+    "submit",
+    "worker",
+    "lint",
+];
+
+fn unknown_command(name: &str) -> CliError {
+    CliError::Usage(format!("unknown command `{name}`\n\n{USAGE}"))
+}
+
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &[
     "detach",
@@ -229,6 +246,16 @@ fn run() -> Result<String, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(CliError::Usage(USAGE.to_owned()));
     };
+    // `help [CMD]`, `CMD --help` and `CMD -h` print the usage.
+    let help_flag = |arg: &String| arg == "--help" || arg == "-h";
+    let help_cmd = cmd == "help" || help_flag(cmd);
+    if help_cmd || rest.iter().any(help_flag) {
+        let topic = if help_cmd { rest.first() } else { Some(cmd) };
+        return match topic {
+            Some(name) if !COMMANDS.contains(&name.as_str()) => Err(unknown_command(name)),
+            _ => Ok(USAGE.to_owned()),
+        };
+    }
     let flags = Flags::parse(rest)?;
     match cmd.as_str() {
         "simulate" => cli::simulate(
@@ -385,10 +412,7 @@ fn run() -> Result<String, CliError> {
                 cli::parse_sl_stats(BufReader::new(File::open(flags.required("restats")?)?))?;
             cli::project(&open_log(&flags)?, &restats, pipeline_config(&flags)?)
         }
-        "--help" | "-h" | "help" => Ok(USAGE.to_owned()),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{USAGE}"
-        ))),
+        other => Err(unknown_command(other)),
     }
 }
 
