@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::gemm::GemmShape;
-use gpu_sim::{AutotuneTable, Device, GpuConfig};
+use gpu_sim::{AutotuneTable, Device, GpuConfig, KernelTrace};
 use sqnn::models::{ds2, gnmt};
 use sqnn::IterationShape;
 use sqnn_data::{BatchPolicy, Corpus, EpochPlan};
@@ -28,7 +28,7 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("energy_model", |b| {
         let device = Device::new(cfg.clone());
-        let profile = device.run_trace(std::slice::from_ref(&kernel));
+        let profile = device.run_trace(&KernelTrace::from(vec![kernel.clone()]));
         let model = gpu_sim::energy::EnergyModel::default();
         b.iter(|| black_box(model.trace_energy_j(&cfg, &profile)))
     });
@@ -71,6 +71,15 @@ fn bench_traces(c: &mut Criterion) {
             b.iter(|| black_box(device.run_trace(trace).total_time_s()))
         });
     }
+    // One whole DS2 iteration at a long SL: trace build plus timing, the
+    // per-shape cost of the streaming fold (~40k launches, a few dozen
+    // distinct kernels).
+    let profiler = Profiler::new();
+    let net = ds2();
+    let shape = IterationShape::new(32, 1600);
+    group.bench_function("profile_iteration/ds2_sl1600", |b| {
+        b.iter(|| black_box(profiler.profile_iteration(&net, &shape, &device).time_s))
+    });
     group.finish();
 }
 

@@ -60,7 +60,10 @@ fn verify_in_trace(w: &Workloads, net: Net, sl: u32, m: u64, k: u64, n: u64) -> 
         w.network(net)
             .iteration_trace(&IterationShape::new(64, sl), device.config(), &mut tuner);
     let expected = 2.0 * m as f64 * k as f64 * n as f64;
-    trace.iter().any(|kd| (kd.flops() - expected).abs() < 0.5)
+    trace
+        .kernels()
+        .iter()
+        .any(|kd| (kd.flops() - expected).abs() < 0.5)
 }
 
 /// Run the experiment.

@@ -102,6 +102,21 @@ impl TraceProfile {
         TraceProfile::default()
     }
 
+    /// A profile from already-folded totals (see [`crate::Device::run_trace`]).
+    pub(crate) fn from_parts(
+        total_time_s: f64,
+        launches: u64,
+        counters: KernelCounters,
+        by_kernel: BTreeMap<String, KernelAgg>,
+    ) -> Self {
+        TraceProfile {
+            total_time_s,
+            launches,
+            counters,
+            by_kernel,
+        }
+    }
+
     /// Record one kernel execution.
     pub fn record(&mut self, kernel: &KernelDesc, time_s: f64, counters: KernelCounters) {
         self.total_time_s += time_s;

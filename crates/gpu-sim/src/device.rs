@@ -1,6 +1,11 @@
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
-use crate::{kernel_time, GpuConfig, KernelCounters, KernelDesc, KernelTiming, TraceProfile};
+use crate::{
+    kernel_time, GpuConfig, KernelAgg, KernelCounters, KernelDesc, KernelTiming, KernelTrace,
+    TraceProfile,
+};
 
 /// A deterministic model of real-hardware run-to-run variation.
 ///
@@ -56,14 +61,14 @@ fn splitmix64(mut x: u64) -> u64 {
 /// with per-kernel and total runtimes plus performance counters.
 ///
 /// ```
-/// use gpu_sim::{Device, GpuConfig, KernelDesc, KernelKind};
+/// use gpu_sim::{Device, GpuConfig, KernelDesc, KernelKind, KernelTrace};
 ///
 /// let device = Device::new(GpuConfig::vega_fe());
-/// let trace = vec![
+/// let trace = KernelTrace::from(vec![
 ///     KernelDesc::builder("ew_relu_v4", KernelKind::Elementwise)
 ///         .flops(1e6).read_bytes(4e6).write_bytes(4e6).workgroups(512.0)
 ///         .build(),
-/// ];
+/// ]);
 /// let profile = device.run_trace(&trace);
 /// assert_eq!(profile.launches(), 1);
 /// ```
@@ -109,17 +114,72 @@ impl Device {
     }
 
     /// Execute a kernel trace serially and aggregate the results.
-    pub fn run_trace(&self, trace: &[KernelDesc]) -> TraceProfile {
-        let mut profile = TraceProfile::new();
-        for (idx, kernel) in trace.iter().enumerate() {
-            let (timing, counters) = self.run_kernel(kernel);
+    ///
+    /// Each distinct kernel is timed once. The launches are then folded
+    /// in launch order — the trace total, the counters and each kernel
+    /// name's aggregate accumulate launch by launch, and jitter is drawn
+    /// per launch index — so the profile is bit-identical to recording
+    /// every launch through [`TraceProfile::record`].
+    pub fn run_trace(&self, trace: &KernelTrace) -> TraceProfile {
+        let timed: Vec<(f64, KernelCounters)> = trace
+            .kernels()
+            .iter()
+            .map(|kernel| {
+                let (timing, counters) = self.run_kernel(kernel);
+                (timing.time_s, counters)
+            })
+            .collect();
+        // Kernel name of each distinct kernel, as a slot into the
+        // per-name aggregates (several distinct kernels share a name
+        // when their operand shapes differ).
+        let mut slot_of_name: HashMap<&str, usize> = HashMap::new();
+        let mut names: Vec<&str> = Vec::new();
+        let slots: Vec<usize> = trace
+            .kernels()
+            .iter()
+            .map(|kernel| {
+                *slot_of_name.entry(kernel.name()).or_insert_with(|| {
+                    names.push(kernel.name());
+                    names.len() - 1
+                })
+            })
+            .collect();
+        let mut aggs: Vec<Option<KernelAgg>> = vec![None; names.len()];
+        let mut total_time_s = 0.0;
+        let mut counters = KernelCounters::default();
+        for (idx, &id) in trace.launches().iter().enumerate() {
+            let id = id as usize;
+            let (time_s, launch_counters) = timed[id];
+            let slot = slots[id];
             let factor = match &self.jitter {
-                Some(j) => j.factor(kernel.name(), idx as u64),
+                Some(j) => j.factor(names[slot], idx as u64),
                 None => 1.0,
             };
-            profile.record(kernel, timing.time_s * factor, counters);
+            let time_s = time_s * factor;
+            total_time_s += time_s;
+            counters += launch_counters;
+            match &mut aggs[slot] {
+                Some(agg) => {
+                    agg.invocations += 1;
+                    agg.time_s += time_s;
+                    agg.counters += launch_counters;
+                }
+                agg @ None => {
+                    *agg = Some(KernelAgg {
+                        kind: trace.kernels()[id].kind(),
+                        invocations: 1,
+                        time_s,
+                        counters: launch_counters,
+                    });
+                }
+            }
         }
-        profile
+        let by_kernel = names
+            .into_iter()
+            .zip(aggs)
+            .filter_map(|(name, agg)| agg.map(|agg| (name.to_owned(), agg)))
+            .collect();
+        TraceProfile::from_parts(total_time_s, trace.len() as u64, counters, by_kernel)
     }
 }
 
@@ -128,7 +188,7 @@ mod tests {
     use super::*;
     use crate::KernelKind;
 
-    fn trace() -> Vec<KernelDesc> {
+    fn trace() -> KernelTrace {
         (0..10)
             .map(|i| {
                 KernelDesc::builder(format!("k{}", i % 3), KernelKind::Elementwise)
@@ -138,7 +198,65 @@ mod tests {
                     .workgroups(256.0)
                     .build()
             })
-            .collect()
+            .collect::<Vec<_>>()
+            .into()
+    }
+
+    /// The reference `run_trace` must match: time and record every launch
+    /// on its own.
+    fn run_per_launch(device: &Device, trace: &KernelTrace) -> TraceProfile {
+        let mut profile = TraceProfile::new();
+        for (idx, kernel) in trace.iter().enumerate() {
+            let (timing, counters) = device.run_kernel(kernel);
+            let factor = match device.jitter() {
+                Some(j) => j.factor(kernel.name(), idx as u64),
+                None => 1.0,
+            };
+            profile.record(kernel, timing.time_s * factor, counters);
+        }
+        profile
+    }
+
+    #[test]
+    fn interned_launches_fold_like_the_per_launch_loop() {
+        // Two distinct kernels share a name, a block of launches repeats,
+        // and a kernel from before the block launches again after it.
+        let kernel = |name: &str, flops: f64| {
+            KernelDesc::builder(name, KernelKind::Elementwise)
+                .flops(flops)
+                .read_bytes(3e6)
+                .write_bytes(1e6)
+                .workgroups(64.0)
+                .build()
+        };
+        let mut t = KernelTrace::new();
+        let head = t.push(kernel("head", 1e5));
+        let start = t.len();
+        t.push(kernel("step", 2e6));
+        t.push(kernel("step", 7e6));
+        t.push(kernel("gate", 3e5));
+        t.repeat_tail(start, 40);
+        t.launch(head);
+        for device in [
+            Device::new(GpuConfig::vega_fe()),
+            Device::with_jitter(GpuConfig::vega_fe(), JitterModel::new(0.05, 9)),
+        ] {
+            let fast = device.run_trace(&t);
+            let oracle = run_per_launch(&device, &t);
+            assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+            assert_eq!(
+                fast.total_time_s().to_bits(),
+                oracle.total_time_s().to_bits()
+            );
+            assert_eq!(fast.launches(), 1 + 3 * 41 + 1);
+            assert_eq!(fast.by_kernel()["step"].invocations, 2 * 41);
+        }
+    }
+
+    #[test]
+    fn empty_trace_profiles_to_nothing() {
+        let p = Device::new(GpuConfig::vega_fe()).run_trace(&KernelTrace::new());
+        assert_eq!(p, TraceProfile::new());
     }
 
     #[test]

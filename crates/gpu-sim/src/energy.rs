@@ -76,13 +76,13 @@ impl EnergyModel {
 mod tests {
     use super::*;
     use crate::gemm::GemmShape;
-    use crate::{AutotuneTable, Device};
+    use crate::{AutotuneTable, Device, KernelTrace};
 
     fn gemm_profile(cfg: &GpuConfig, n: u64) -> TraceProfile {
         let device = Device::new(cfg.clone());
         let mut tuner = AutotuneTable::new();
         let k = tuner.gemm(cfg, GemmShape::new(2048, 1024, n));
-        device.run_trace(std::slice::from_ref(&k))
+        device.run_trace(&KernelTrace::from(vec![k]))
     }
 
     #[test]
@@ -114,8 +114,12 @@ mod tests {
         let k = crate::elementwise::map("add", 1 << 18, 1.0, 2);
         let device_a = Device::new(base.clone());
         let device_b = Device::new(no_l2.clone());
-        let e_with = model.trace_energy_j(&base, &device_a.run_trace(std::slice::from_ref(&k)));
-        let e_without = model.trace_energy_j(&no_l2, &device_b.run_trace(std::slice::from_ref(&k)));
+        let e_with = model.trace_energy_j(
+            &base,
+            &device_a.run_trace(&KernelTrace::from(vec![k.clone()])),
+        );
+        let e_without =
+            model.trace_energy_j(&no_l2, &device_b.run_trace(&KernelTrace::from(vec![k])));
         assert!(e_without > e_with, "{e_without} vs {e_with}");
     }
 

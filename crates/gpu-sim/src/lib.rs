@@ -3,9 +3,10 @@
 //! The SeqPoint paper profiles SQNN training on a real AMD Radeon Vega
 //! Frontier Edition GPU. This crate is the substitute substrate: a
 //! deterministic, analytic model of a Vega-class GPU that executes *kernel
-//! traces* (sequences of [`KernelDesc`]) and reports per-kernel and
-//! per-trace runtimes plus the performance counters the paper relies on
-//! (vector-ALU instructions, memory-write stalls, load data size).
+//! traces* ([`KernelTrace`]s of [`KernelDesc`] launches) and reports
+//! per-kernel and per-trace runtimes plus the performance counters the
+//! paper relies on (vector-ALU instructions, memory-write stalls, load
+//! data size).
 //!
 //! The model captures exactly the mechanisms the paper attributes iteration
 //! heterogeneity to:
@@ -27,13 +28,13 @@
 //! ## Example
 //!
 //! ```
-//! use gpu_sim::{gemm::GemmShape, AutotuneTable, Device, GpuConfig};
+//! use gpu_sim::{gemm::GemmShape, AutotuneTable, Device, GpuConfig, KernelTrace};
 //!
 //! # fn main() -> Result<(), gpu_sim::SimError> {
 //! let device = Device::new(GpuConfig::vega_fe());
 //! let mut tuner = AutotuneTable::new();
 //! let kernel = tuner.gemm(device.config(), GemmShape::new(1024, 1024, 4096));
-//! let profile = device.run_trace(std::slice::from_ref(&kernel));
+//! let profile = device.run_trace(&KernelTrace::from(vec![kernel]));
 //! assert!(profile.total_time_s() > 0.0);
 //! # Ok(())
 //! # }
@@ -50,6 +51,7 @@ mod device;
 mod error;
 mod kernel;
 mod timing;
+mod trace;
 
 pub mod conv;
 pub mod elementwise;
@@ -67,3 +69,4 @@ pub use device::{Device, JitterModel};
 pub use error::SimError;
 pub use kernel::{KernelDesc, KernelDescBuilder, KernelKind};
 pub use timing::{kernel_time, KernelTiming};
+pub use trace::KernelTrace;

@@ -88,12 +88,16 @@ fn kind_from_label(label: &str) -> Option<KernelKind> {
         .find(|k| k.label() == label)
 }
 
-/// Write `trace` to `w` in the v1 format.
+/// Write the launches of `trace` to `w` in the v1 format, one line per
+/// launch (pass a [`crate::KernelTrace`]'s `iter()` or a kernel slice).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
-pub fn write_trace<W: Write>(mut w: W, trace: &[KernelDesc]) -> Result<(), TraceFormatError> {
+pub fn write_trace<'a, W: Write>(
+    mut w: W,
+    trace: impl IntoIterator<Item = &'a KernelDesc>,
+) -> Result<(), TraceFormatError> {
     writeln!(w, "{TRACE_HEADER}")?;
     for k in trace {
         writeln!(

@@ -5,7 +5,9 @@
 //! drops below the compulsory footprint, and timing is deterministic.
 
 use gpu_sim::gemm::{self, GemmShape};
-use gpu_sim::{kernel_time, AutotuneTable, CacheModel, Device, GpuConfig, KernelDesc, KernelKind};
+use gpu_sim::{
+    kernel_time, AutotuneTable, CacheModel, Device, GpuConfig, KernelDesc, KernelKind, KernelTrace,
+};
 use proptest::prelude::*;
 
 fn arb_kernel() -> impl Strategy<Value = KernelDesc> {
@@ -92,7 +94,7 @@ proptest! {
     fn trace_time_is_sum_of_kernels(k in arb_kernel(), copies in 1usize..20) {
         let device = Device::new(GpuConfig::vega_fe());
         let trace: Vec<KernelDesc> = std::iter::repeat_with(|| k.clone()).take(copies).collect();
-        let profile = device.run_trace(&trace);
+        let profile = device.run_trace(&KernelTrace::from(trace));
         let single = device.run_kernel(&k).0.time_s;
         prop_assert!((profile.total_time_s() - single * copies as f64).abs()
                      <= 1e-9 * profile.total_time_s().max(1e-30));

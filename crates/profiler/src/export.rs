@@ -60,7 +60,7 @@ pub fn export_seqpoint_traces(
         let trace =
             network.iteration_trace(&IterationShape::new(batch, point.seq_len), cfg, &mut tuner);
         let mut buf = Vec::new();
-        trace_format::write_trace(&mut buf, &trace).map_err(|e| ProfileError::Io {
+        trace_format::write_trace(&mut buf, trace.iter()).map_err(|e| ProfileError::Io {
             path: file.display().to_string(),
             message: e.to_string(),
         })?;
@@ -139,7 +139,7 @@ mod tests {
             gpu_sim::trace_format::read_trace(fs::File::open(&bundle.traces[0]).unwrap()).unwrap();
         assert_eq!(
             device.run_trace(&direct).total_time_s(),
-            device.run_trace(&replayed).total_time_s()
+            device.run_trace(&replayed.into()).total_time_s()
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -446,6 +446,25 @@ mod tests {
     }
 
     #[test]
+    fn autotune_cost_is_pinned() {
+        // A trace consults the tuner once per distinct GEMM, not once
+        // per launch. The tuner charges only a problem's first sighting,
+        // so the cost is that of consulting it on every launch, to the
+        // bit; these are the values per-launch consultation gives.
+        let device = Device::new(GpuConfig::vega_fe());
+        let gnmt = Profiler::new()
+            .profile_epoch(&small_net(), &plan(&[10, 10, 20, 20, 30, 30], 2), &device)
+            .unwrap();
+        assert_eq!(gnmt.autotune_s().to_bits(), 0x3f58_77d9_b053_05fe);
+        let corpus = Corpus::from_lengths("mini-speech", vec![60, 90, 120, 150], 29);
+        let p = EpochPlan::new(&corpus, BatchPolicy::sorted_first_epoch(2), 0).unwrap();
+        let ds2 = Profiler::new()
+            .profile_epoch(&ds2_with(29, 64), &p, &device)
+            .unwrap();
+        assert_eq!(ds2.autotune_s().to_bits(), 0x3f59_15c9_7fd0_0a2b);
+    }
+
+    #[test]
     fn empty_plan_is_rejected() {
         let p = EpochPlan::from_batches("e", 1, 1, Vec::new());
         let device = Device::new(GpuConfig::vega_fe());

@@ -5,8 +5,8 @@
 //! # Lifecycle
 //!
 //! * Startup scans the state directory and **recovers** every persisted
-//!   job: finished jobs reload their rendered output, unfinished ones
-//!   re-enter the queue and resume from their per-round checkpoints.
+//!   job: finished jobs are served from their result files, unfinished
+//!   ones re-enter the queue and resume from their per-round checkpoints.
 //!   The retention bound ([`ServeConfig::retain_jobs`]) is applied to
 //!   recovered terminal jobs too.
 //! * Clients connect — over the Unix socket or, authenticated by a
@@ -185,10 +185,13 @@ impl ServeConfig {
 }
 
 struct JobEntry {
-    spec: JobSpec,
+    /// `None` once the job is terminal: it never runs again, and restart
+    /// recovery reads the spec file. Boxed, because the job table keeps
+    /// an entry per retained job and its empty slots cost the entry's
+    /// inline size too.
+    spec: Option<Box<JobSpec>>,
     state: JobState,
     detail: String,
-    output: Option<String>,
     reason: Option<String>,
     cancel: Arc<AtomicBool>,
     attempts: u32,
@@ -233,10 +236,9 @@ impl JobEntry {
         let class = spec.class;
         let client = spec.client.clone();
         JobEntry {
-            spec,
+            spec: Some(Box::new(spec)),
             state,
             detail: detail.into(),
-            output: None,
             reason: None,
             cancel: Arc::new(AtomicBool::new(false)),
             attempts: 0,
@@ -315,6 +317,23 @@ impl Shared {
         self.config.state_dir.join(format!("{id}.error.txt"))
     }
 
+    /// The rendered output of finished job `id`. Results live only in
+    /// `<id>.result.txt`, never in memory, so the daemon's footprint does
+    /// not grow with the number of retained jobs.
+    fn read_result(&self, id: &str) -> Result<String, String> {
+        std::fs::read_to_string(self.result_path(id))
+            .map_err(|e| format!("result of job `{id}` unreadable: {e}"))
+    }
+
+    /// Stamp `entry`, which just turned terminal, with the next
+    /// completion-order sequence number and the current time, and drop
+    /// its spec.
+    fn stamp_finished(&self, entry: &mut JobEntry) {
+        entry.finish_seq = self.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        entry.finished_at = Some(SystemTime::now());
+        entry.spec = None;
+    }
+
     fn set_state(&self, id: &str, state: JobState, detail: impl Into<String>) {
         let mut jobs = self.jobs.lock_recover();
         if let Some(entry) = jobs.get_mut(id) {
@@ -336,8 +355,7 @@ impl Shared {
     fn stamp_terminal(&self, jobs: &mut HashMap<String, JobEntry>, id: &str) {
         let newly_terminal = match jobs.get_mut(id) {
             Some(entry) if entry.state.is_terminal() && entry.finish_seq == 0 => {
-                entry.finish_seq = self.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
-                entry.finished_at = Some(SystemTime::now());
+                self.stamp_finished(entry);
                 match entry.state {
                     JobState::Done => self.metrics.job_completed(),
                     JobState::Failed => self.metrics.job_failed(),
@@ -355,20 +373,20 @@ impl Shared {
     }
 
     /// Settle the single-flight followers of a primary that just turned
-    /// terminal: `Done` fans the result out to every follower
-    /// (byte-identical, persisted like a real result), `Failed`
-    /// propagates the failure, and `Cancelled` promotes the oldest
-    /// follower into a scheduled primary so the group still gets its
-    /// one profiling run. Runs under the `jobs` lock.
+    /// terminal: `Done` copies the primary's result file to every
+    /// follower (byte-identical, persisted like a real result) — a
+    /// follower whose copy cannot be made fails with the reason —
+    /// `Failed` propagates the failure, and `Cancelled` promotes the
+    /// oldest follower into a scheduled primary so the group still gets
+    /// its one profiling run. Runs under the `jobs` lock.
     fn settle_followers(&self, jobs: &mut HashMap<String, JobEntry>, id: &str) {
-        let (state, key, output, reason, mut followers) = {
+        let (state, key, reason, mut followers) = {
             let Some(entry) = jobs.get_mut(id) else {
                 return;
             };
             (
                 entry.state,
                 entry.key,
-                entry.output.clone(),
                 entry.reason.clone(),
                 std::mem::take(&mut entry.followers),
             )
@@ -378,18 +396,38 @@ impl Shared {
                 if let Some(key) = key {
                     self.cache.complete(key, id);
                 }
-                let output = output.unwrap_or_default();
+                let output = self.read_result(id);
                 for fid in followers {
-                    let _ = write_atomic(&self.result_path(&fid), &output);
+                    let copied = output.as_ref().map_err(Clone::clone).and_then(|output| {
+                        write_atomic(&self.result_path(&fid), output)
+                            .map_err(|e| format!("persisting result: {e}"))
+                    });
+                    if let Err(reason) = &copied {
+                        let _ = write_atomic(&self.error_path(&fid), reason);
+                    }
                     if let Some(f) = jobs.get_mut(&fid) {
-                        f.state = JobState::Done;
-                        f.detail = format!("done (served by job `{id}`)");
-                        f.output = Some(output.clone());
                         f.follows = None;
+                        let done = match copied {
+                            Ok(()) => {
+                                f.state = JobState::Done;
+                                f.detail = format!("done (served by job `{id}`)");
+                                true
+                            }
+                            Err(reason) => {
+                                f.state = JobState::Failed;
+                                f.detail =
+                                    "failed to copy its single-flight primary's result".to_owned();
+                                f.reason = Some(reason);
+                                false
+                            }
+                        };
                         if f.finish_seq == 0 {
-                            f.finish_seq = self.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
-                            f.finished_at = Some(SystemTime::now());
-                            self.metrics.job_completed();
+                            self.stamp_finished(f);
+                            if done {
+                                self.metrics.job_completed();
+                            } else {
+                                self.metrics.job_failed();
+                            }
                         }
                     }
                 }
@@ -407,8 +445,7 @@ impl Shared {
                         f.reason = Some(reason.clone());
                         f.follows = None;
                         if f.finish_seq == 0 {
-                            f.finish_seq = self.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
-                            f.finished_at = Some(SystemTime::now());
+                            self.stamp_finished(f);
                             self.metrics.job_failed();
                         }
                     }
@@ -460,10 +497,10 @@ impl Shared {
     /// Evict terminal jobs past either retention bound — beyond the
     /// `retain_jobs` count cap (oldest-finished first) or older than
     /// the `retain_for` TTL; whichever bound trips first evicts. The
-    /// in-memory entry (with its rendered output) and every persisted
-    /// file go together, so neither the map nor the state dir grows
-    /// without bound under sustained traffic. Non-terminal jobs are
-    /// never touched.
+    /// in-memory entry and every persisted file (the rendered output
+    /// among them) go together, so neither the map nor the state dir
+    /// grows without bound under sustained traffic. Non-terminal jobs
+    /// are never touched.
     fn gc_terminal(&self, jobs: &mut HashMap<String, JobEntry>) {
         let cap = self.config.retain_jobs;
         let ttl = self.config.retain_for;
@@ -500,8 +537,8 @@ impl Shared {
                 continue;
             }
             if let Some(entry) = jobs.remove(&id) {
-                // A retained-result mapping goes with the entry that
-                // held the output.
+                // A retained-result mapping goes with the entry whose
+                // result file it points at.
                 if entry.state == JobState::Done {
                     if let Some(key) = entry.key {
                         self.cache.evict(key, &id);
@@ -595,9 +632,8 @@ fn recover(shared: &Shared) -> Result<Vec<String>, ServiceError> {
                 .and_then(|m| m.modified())
                 .unwrap_or(SystemTime::UNIX_EPOCH)
         };
-        if let Ok(output) = std::fs::read_to_string(shared.result_path(id)) {
-            let mut done = JobEntry::new(spec, JobState::Done, "recovered finished job");
-            done.output = Some(output);
+        if shared.result_path(id).is_file() {
+            let done = JobEntry::new(spec, JobState::Done, "recovered finished job");
             jobs.insert(id.to_owned(), done);
             terminal.push((file_mtime(shared.result_path(id)), id.to_owned()));
         } else if let Ok(reason) = std::fs::read_to_string(shared.error_path(id)) {
@@ -636,12 +672,16 @@ fn recover(shared: &Shared) -> Result<Vec<String>, ServiceError> {
         let Some(entry) = jobs.get_mut(id) else {
             continue;
         };
-        if entry.spec.model.is_empty() {
-            continue; // unreadable-spec placeholder
+        if let Some(spec) = entry.spec.as_deref() {
+            // An empty model marks the unreadable-spec placeholder.
+            if !spec.model.is_empty() {
+                entry.key = resolve(spec).ok().map(|r| Shared::cache_key(&r, spec));
+            }
         }
-        entry.key = resolve(&entry.spec)
-            .ok()
-            .map(|r| Shared::cache_key(&r, &entry.spec));
+        // Terminal jobs keep no spec once their key is known.
+        if entry.state.is_terminal() {
+            entry.spec = None;
+        }
     }
     for id in &ids {
         let Some(entry) = jobs.get(id) else { continue };
@@ -665,15 +705,20 @@ fn recover(shared: &Shared) -> Result<Vec<String>, ServiceError> {
             continue;
         };
         if let Some(done) = shared.cache.lookup_ready(key) {
-            if let Some(output) = jobs.get(&done).and_then(|p| p.output.clone()) {
-                let _ = write_atomic(&shared.result_path(id), &output);
+            // A result that cannot be copied leaves the job to profile
+            // afresh below.
+            let copied = shared
+                .read_result(&done)
+                .and_then(|output| {
+                    write_atomic(&shared.result_path(id), &output).map_err(|e| e.to_string())
+                })
+                .is_ok();
+            if copied {
                 if let Some(entry) = jobs.get_mut(id) {
                     entry.state = JobState::Done;
                     entry.detail = format!("recovered: served from cache (job `{done}`)");
-                    entry.output = Some(output);
                     entry.cache_hit = true;
-                    entry.finish_seq = shared.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
-                    entry.finished_at = Some(SystemTime::now());
+                    shared.stamp_finished(entry);
                 }
                 continue;
             }
@@ -807,12 +852,15 @@ fn submit(
     };
     if let Admission::Ready(primary) = &admission {
         // Retained result: answer immediately, byte-identical, without
-        // a profiling run.
-        if let Some(output) = jobs.get(primary.as_str()).and_then(|p| p.output.clone()) {
+        // a profiling run, by copying the primary's result file.
+        let cached = jobs
+            .get(primary.as_str())
+            .filter(|p| p.state == JobState::Done)
+            .and_then(|_| shared.read_result(primary).ok());
+        if let Some(output) = cached {
             if let Err(e) = std::fs::rename(&tmp, &spec_path) {
                 return persist(jobs, e);
             }
-            let _ = write_atomic(&shared.result_path(&id), &output);
             let mut entry = JobEntry::new(
                 spec,
                 JobState::Done,
@@ -820,7 +868,13 @@ fn submit(
             );
             entry.key = key;
             entry.cache_hit = true;
-            entry.output = Some(output);
+            if let Err(e) = write_atomic(&shared.result_path(&id), &output) {
+                let reason = format!("persisting result: {e}");
+                let _ = write_atomic(&shared.error_path(&id), &reason);
+                entry.state = JobState::Failed;
+                entry.detail = "failed".to_owned();
+                entry.reason = Some(reason);
+            }
             jobs.insert(id.clone(), entry);
             shared.stamp_terminal(&mut jobs, &id);
             drop(jobs);
@@ -829,10 +883,11 @@ fn submit(
             shared.jobs_cv.notify_all();
             return Response::Submitted { job: id };
         }
-        // The entry the index pointed at lost its output (evicted out
-        // from under the cache): heal by taking over as the in-flight
-        // primary and profiling fresh. A Ready admission implies a key;
-        // if it is somehow absent, skip the healing and just reprofile.
+        // The entry the index pointed at lost its result (evicted out
+        // from under the cache, or its file is unreadable): heal by
+        // taking over as the in-flight primary and profiling fresh. A
+        // Ready admission implies a key; if it is somehow absent, skip
+        // the healing and just reprofile.
         if let Some(key) = key {
             shared.cache.evict(key, primary);
             shared.cache.register_inflight(key, &id);
@@ -960,16 +1015,25 @@ fn status(shared: &Shared, id: &str) -> Response {
 }
 
 /// The terminal response for a job, or `None` while it is still in
-/// flight. Caller holds the jobs lock.
-fn terminal_response(jobs: &HashMap<String, JobEntry>, id: &str) -> Option<Response> {
+/// flight. A finished job's output is read from its result file; an
+/// unreadable one is an error, never an empty result. Caller holds the
+/// jobs lock, so the retention GC cannot remove the file mid-read.
+fn terminal_response(
+    shared: &Shared,
+    jobs: &HashMap<String, JobEntry>,
+    id: &str,
+) -> Option<Response> {
     match jobs.get(id) {
         None => Some(Response::Error {
             reason: format!("unknown job `{id}`"),
         }),
         Some(entry) => match entry.state {
-            JobState::Done => Some(Response::Result {
-                job: id.to_owned(),
-                output: entry.output.clone().unwrap_or_default(),
+            JobState::Done => Some(match shared.read_result(id) {
+                Ok(output) => Response::Result {
+                    job: id.to_owned(),
+                    output,
+                },
+                Err(reason) => Response::Error { reason },
             }),
             JobState::Failed => Some(Response::Failed {
                 job: id.to_owned(),
@@ -984,7 +1048,7 @@ fn terminal_response(jobs: &HashMap<String, JobEntry>, id: &str) -> Option<Respo
 /// Non-blocking result fetch (`Result { wait: false }`).
 fn result(shared: &Shared, id: &str) -> Response {
     let jobs = shared.jobs.lock_recover();
-    match terminal_response(&jobs, id) {
+    match terminal_response(shared, &jobs, id) {
         Some(response) => response,
         None => {
             let state = jobs.get(id).map(|e| e.state).unwrap_or(JobState::Queued);
@@ -1014,7 +1078,7 @@ fn result_wait(
     let mut last_beat = std::time::Instant::now();
     let mut jobs = shared.jobs.lock_recover();
     loop {
-        if let Some(response) = terminal_response(&jobs, id) {
+        if let Some(response) = terminal_response(shared, &jobs, id) {
             drop(jobs);
             return respond(stream, metrics, &response);
         }
@@ -1085,10 +1149,13 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         if entry.follows.is_some() {
             return; // single-flight follower; settled by its primary
         }
+        let Some(spec) = entry.spec.clone() else {
+            return; // only terminal jobs drop their spec
+        };
         entry.state = JobState::Running;
         entry.detail = "resolving workload".to_owned();
         entry.attempts = entry.attempts.saturating_add(1);
-        (entry.spec.clone(), entry.cancel.clone(), entry.attempts)
+        (spec, entry.cancel.clone(), entry.attempts)
     };
     shared.jobs_cv.notify_all();
 
@@ -1197,7 +1264,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
             if let Some(entry) = jobs.get_mut(id) {
                 entry.state = JobState::Done;
                 entry.detail = "done".to_owned();
-                entry.output = Some(output);
             }
             shared.stamp_terminal(&mut jobs, id);
             drop(jobs);

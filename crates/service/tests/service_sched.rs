@@ -439,13 +439,58 @@ fn cached_results_survive_a_restart() {
 }
 
 #[test]
+fn a_deleted_result_file_is_an_error_and_a_duplicate_reprofiles() {
+    let scratch = Scratch::new("lostresult");
+    let socket = scratch.socket();
+    let spec = quick_spec(3_000, 5);
+    let reference = offline_reference(&spec);
+
+    let handle = start_server(ServeConfig::new(&socket, scratch.state()));
+    let mut client = Client::connect_ready(&socket, Duration::from_secs(10)).unwrap();
+    let job = client
+        .submit(Some("lost".to_owned()), spec.clone())
+        .unwrap();
+    assert_eq!(client.wait_result(&job).unwrap(), reference);
+
+    // Results are kept on disk only: with the file gone, the finished
+    // job answers an error naming the problem, never an empty result.
+    std::fs::remove_file(scratch.state().join("lost.result.txt")).unwrap();
+    match client
+        .request(&Request::Result {
+            job: job.clone(),
+            wait: false,
+        })
+        .unwrap()
+    {
+        Response::Error { reason } => {
+            assert!(reason.contains("lost"), "{reason}");
+            assert!(reason.contains("unreadable"), "{reason}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    let waited = client.wait_result(&job).unwrap_err().to_string();
+    assert!(waited.contains("unreadable"), "{waited}");
+
+    // A duplicate cannot be served from the lost file: it profiles
+    // afresh and still gets the byte-identical selection.
+    let dup = client.submit(Some("lost-dup".to_owned()), spec).unwrap();
+    assert_eq!(client.wait_result(&dup).unwrap(), reference);
+    let (_, _, hit) = probe(&mut client, &dup);
+    assert!(!hit, "a lost result must not count as a cache hit");
+
+    shutdown(&socket);
+    handle.join().unwrap();
+}
+
+#[test]
 fn follower_attached_at_drain_gets_the_resumed_jobs_result() {
     let scratch = Scratch::new("drainfollow");
     let socket = scratch.socket();
     // Paced and never early-stopping, so the drain lands mid-run with
-    // the follower still attached.
+    // the follower still attached: ~6 rounds at 250 ms each, against
+    // the 300 ms head start below.
     let spec = JobSpec {
-        throttle_ms: 40,
+        throttle_ms: 250,
         stream: StreamConfig {
             saturation_window: u64::MAX,
             ..StreamConfig::default()

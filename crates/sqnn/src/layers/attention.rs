@@ -42,7 +42,7 @@ impl Layer for Attention {
         let t_dec = u64::from(shape.dst_len);
         let b = u64::from(shape.batch);
         let h = self.hidden;
-        for _step in 0..t_dec {
+        ctx.repeat(t_dec, |ctx| {
             // Query transform: W_a · h_dec.
             ctx.emit_gemm("nn", h, h, b);
             // Scores against all encoder states (batched): [T_enc × H]·[H × 1] per sample.
@@ -54,7 +54,7 @@ impl Layer for Attention {
             // Combine [c; h] and squash.
             ctx.emit_gemm("nn", h, 2 * h, b);
             ctx.emit_ew("tanh", b * h, 4.0, 1);
-        }
+        });
     }
 
     fn emit_backward(&self, shape: &IterationShape, ctx: &mut TraceCtx<'_>) {
@@ -62,7 +62,7 @@ impl Layer for Attention {
         let t_dec = u64::from(shape.dst_len);
         let b = u64::from(shape.batch);
         let h = self.hidden;
-        for _step in 0..t_dec {
+        ctx.repeat(t_dec, |ctx| {
             ctx.emit_ew("tanh_bwd", b * h, 2.0, 2);
             // Combine gradients (data + weights).
             ctx.emit_gemm("nt", 2 * h, h, b);
@@ -75,7 +75,7 @@ impl Layer for Attention {
             // Score and query-transform gradients.
             ctx.emit_gemm("tn", h, b, h);
             ctx.emit_gemm("nt", h, h, b);
-        }
+        });
     }
 }
 
@@ -149,9 +149,9 @@ impl Layer for SelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{AutotuneTable, GpuConfig, KernelDesc};
+    use gpu_sim::{AutotuneTable, GpuConfig, KernelTrace};
 
-    fn forward(layer: &dyn Layer, shape: IterationShape) -> Vec<KernelDesc> {
+    fn forward(layer: &dyn Layer, shape: IterationShape) -> KernelTrace {
         let cfg = GpuConfig::vega_fe();
         let mut tuner = AutotuneTable::new();
         let mut ctx = TraceCtx::new(&cfg, &mut tuner);
@@ -187,7 +187,7 @@ mod tests {
         let attn = Attention::new("attn", 256);
         let narrow = forward(&attn, IterationShape::with_lengths(8, 100, 1));
         let wide = forward(&attn, IterationShape::with_lengths(8, 2000, 1));
-        let name_of = |t: &[KernelDesc]| {
+        let name_of = |t: &KernelTrace| {
             t.iter()
                 .find(|k| k.name().starts_with("softmax"))
                 .unwrap()

@@ -137,9 +137,9 @@ impl Layer for CtcLoss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{AutotuneTable, GpuConfig, KernelDesc};
+    use gpu_sim::{AutotuneTable, GpuConfig, KernelTrace};
 
-    fn trace(layer: &dyn Layer, shape: IterationShape) -> Vec<KernelDesc> {
+    fn trace(layer: &dyn Layer, shape: IterationShape) -> KernelTrace {
         let cfg = GpuConfig::vega_fe();
         let mut tuner = AutotuneTable::new();
         let mut ctx = TraceCtx::new(&cfg, &mut tuner);

@@ -131,7 +131,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{AutotuneTable, GpuConfig, KernelDesc};
+    use gpu_sim::{AutotuneTable, GpuConfig, KernelTrace};
 
     fn ds2_conv1() -> Conv2d {
         Conv2d::new(
@@ -146,7 +146,7 @@ mod tests {
         .with_activation("hardtanh")
     }
 
-    fn trace(layer: &Conv2d, shape: IterationShape, backward: bool) -> Vec<KernelDesc> {
+    fn trace(layer: &Conv2d, shape: IterationShape, backward: bool) -> KernelTrace {
         let cfg = GpuConfig::vega_fe();
         let mut tuner = AutotuneTable::new();
         let mut ctx = TraceCtx::new(&cfg, &mut tuner);

@@ -103,7 +103,7 @@ mod tests {
     use super::*;
     use gpu_sim::{AutotuneTable, GpuConfig, KernelKind};
 
-    fn trace_of(layer: &Dense, shape: IterationShape, backward: bool) -> Vec<gpu_sim::KernelDesc> {
+    fn trace_of(layer: &Dense, shape: IterationShape, backward: bool) -> gpu_sim::KernelTrace {
         let cfg = GpuConfig::vega_fe();
         let mut tuner = AutotuneTable::new();
         let mut ctx = TraceCtx::new(&cfg, &mut tuner);

@@ -1,8 +1,9 @@
 //! Recurrent layers: LSTM and GRU, unidirectional or bidirectional.
 //!
 //! These are the layers whose unrolling makes SQNN iterations
-//! heterogeneous: the per-step recurrent GEMM and gate kernels are emitted
-//! `seq_len` times, so kernel count and runtime scale with the input
+//! heterogeneous: the per-step recurrent GEMM and gate kernels are launched
+//! `seq_len` times (one step emitted, then replayed through
+//! [`TraceCtx::repeat`]), so kernel count and runtime scale with the input
 //! sequence length (the paper's Fig. 3 and key observation 1).
 //!
 //! The emission follows the cuDNN/MIOpen RNN decomposition: the
@@ -47,14 +48,14 @@ impl RecurrentCore {
         for _dir in 0..self.directions() {
             // Input transform for all steps at once: [gh × E] · [E × B·T].
             ctx.emit_gemm("nn", gh, self.input, b * t);
-            for _step in 0..t {
+            ctx.repeat(t, |ctx| {
                 // Recurrent transform: [gh × H] · [H × B].
                 ctx.emit_gemm("nn", gh, self.hidden, b);
                 // Gate math (sigmoid/tanh) over the gate pre-activations.
                 ctx.emit_ew(self.gate_label, b * gh, 6.0, 2);
                 // State update (cell/hidden blend).
                 ctx.emit_ew("state_update", b * self.hidden, 4.0, 3);
-            }
+            });
         }
         if self.bidirectional {
             // Concatenate forward/backward hidden sequences.
@@ -67,12 +68,12 @@ impl RecurrentCore {
         let b = u64::from(shape.batch);
         let gh = self.gates * self.hidden;
         for _dir in 0..self.directions() {
-            for _step in 0..t {
+            ctx.repeat(t, |ctx| {
                 // Gate derivative.
                 ctx.emit_ew(&format!("{}_bwd", self.gate_label), b * gh, 8.0, 3);
                 // dh_{t-1} += W_hhᵀ · dgates_t.
                 ctx.emit_gemm("nt", self.hidden, gh, b);
-            }
+            });
             // Weight gradients, batched over time:
             // dW_hh = dGates · Hᵀ, dW_ih = dGates · Xᵀ.
             ctx.emit_gemm("tn", gh, b * t, self.hidden);
@@ -195,9 +196,9 @@ impl Layer for Gru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{AutotuneTable, GpuConfig, KernelDesc};
+    use gpu_sim::{AutotuneTable, GpuConfig, KernelTrace};
 
-    fn forward_trace(layer: &dyn Layer, shape: IterationShape) -> Vec<KernelDesc> {
+    fn forward_trace(layer: &dyn Layer, shape: IterationShape) -> KernelTrace {
         let cfg = GpuConfig::vega_fe();
         let mut tuner = AutotuneTable::new();
         let mut ctx = TraceCtx::new(&cfg, &mut tuner);
@@ -205,7 +206,7 @@ mod tests {
         ctx.into_trace()
     }
 
-    fn backward_trace(layer: &dyn Layer, shape: IterationShape) -> Vec<KernelDesc> {
+    fn backward_trace(layer: &dyn Layer, shape: IterationShape) -> KernelTrace {
         let cfg = GpuConfig::vega_fe();
         let mut tuner = AutotuneTable::new();
         let mut ctx = TraceCtx::new(&cfg, &mut tuner);
@@ -231,7 +232,7 @@ mod tests {
         let uni_t = forward_trace(&uni, shape);
         let bi_t = forward_trace(&bi, shape);
         assert_eq!(bi_t.len(), uni_t.len() * 2 + 1);
-        assert!(bi_t.last().unwrap().name().starts_with("concat"));
+        assert!(bi_t.iter().last().unwrap().name().starts_with("concat"));
         assert_eq!(bi.param_count(), uni.param_count() * 2);
     }
 

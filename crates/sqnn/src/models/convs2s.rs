@@ -116,7 +116,7 @@ mod tests {
             net.iteration_trace(&IterationShape::with_lengths(8, 50, 10), &cfg, &mut tuner);
         let long_tgt =
             net.iteration_trace(&IterationShape::with_lengths(8, 50, 100), &cfg, &mut tuner);
-        let flops = |t: &[gpu_sim::KernelDesc]| t.iter().map(|k| k.flops()).sum::<f64>();
+        let flops = |t: &gpu_sim::KernelTrace| t.iter().map(|k| k.flops()).sum::<f64>();
         assert!(flops(&long_tgt) > flops(&short_tgt) * 1.5);
     }
 }

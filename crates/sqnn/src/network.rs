@@ -1,4 +1,4 @@
-use gpu_sim::{AutotuneTable, GpuConfig, KernelDesc};
+use gpu_sim::{AutotuneTable, GpuConfig, KernelTrace};
 
 use crate::{IterationShape, Layer, ModelError, TraceCtx};
 
@@ -89,7 +89,7 @@ impl Network {
         shape: &IterationShape,
         cfg: &GpuConfig,
         tuner: &mut AutotuneTable,
-    ) -> Vec<KernelDesc> {
+    ) -> KernelTrace {
         let mut ctx = TraceCtx::new(cfg, tuner);
         for layer in &self.layers {
             layer.emit_forward(shape, &mut ctx);
@@ -113,7 +113,7 @@ impl Network {
         shape: &IterationShape,
         cfg: &GpuConfig,
         tuner: &mut AutotuneTable,
-    ) -> Vec<KernelDesc> {
+    ) -> KernelTrace {
         let mut ctx = TraceCtx::new(cfg, tuner);
         for layer in &self.layers {
             layer.emit_forward(shape, &mut ctx);
@@ -219,7 +219,7 @@ mod tests {
         let mut tuner = AutotuneTable::new();
         let short = net.iteration_trace(&IterationShape::new(4, 2), &cfg, &mut tuner);
         let long = net.iteration_trace(&IterationShape::new(4, 50), &cfg, &mut tuner);
-        let opt = |t: &[KernelDesc]| -> Vec<KernelDesc> {
+        let opt = |t: &KernelTrace| -> Vec<gpu_sim::KernelDesc> {
             t.iter()
                 .filter(|k| k.kind() == gpu_sim::KernelKind::Optimizer)
                 .cloned()

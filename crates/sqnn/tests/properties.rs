@@ -1,6 +1,6 @@
 //! Property-based invariants of the network models' trace emission.
 
-use gpu_sim::{AutotuneTable, Device, GpuConfig, KernelDesc, KernelKind};
+use gpu_sim::{AutotuneTable, Device, GpuConfig, KernelKind, KernelTrace};
 use proptest::prelude::*;
 use sqnn::models::{
     cnn_reference, conv_s2s_with, ds2_with, gnmt_with, seq2seq_with, transformer_with,
@@ -17,7 +17,7 @@ fn small_models() -> Vec<Network> {
     ]
 }
 
-fn trace(net: &Network, shape: IterationShape) -> Vec<KernelDesc> {
+fn trace(net: &Network, shape: IterationShape) -> KernelTrace {
     let cfg = GpuConfig::vega_fe();
     let mut tuner = AutotuneTable::new();
     net.iteration_trace(&shape, &cfg, &mut tuner)
@@ -74,7 +74,7 @@ proptest! {
                 .iter()
                 .position(|k| k.kind() == KernelKind::Optimizer)
                 .expect("all models have parameters");
-            prop_assert!(t[first_opt..].iter().all(|k| k.kind() == KernelKind::Optimizer));
+            prop_assert!(t.iter().skip(first_opt).all(|k| k.kind() == KernelKind::Optimizer));
         }
     }
 
@@ -87,7 +87,7 @@ proptest! {
             let fwd = net.inference_trace(&shape, &cfg, &mut tuner);
             let full = net.iteration_trace(&shape, &cfg, &mut tuner);
             prop_assert!(fwd.len() < full.len(), "{}", net.name());
-            prop_assert_eq!(&full[..fwd.len()], &fwd[..], "{}", net.name());
+            prop_assert!(full.iter().take(fwd.len()).eq(fwd.iter()), "{}", net.name());
         }
     }
 
@@ -128,7 +128,7 @@ proptest! {
     #[test]
     fn all_kernels_are_well_formed(sl in 1u32..48) {
         for net in small_models() {
-            for k in trace(&net, IterationShape::new(4, sl)) {
+            for k in trace(&net, IterationShape::new(4, sl)).iter() {
                 prop_assert!(k.flops() >= 0.0);
                 prop_assert!(k.read_bytes() >= 0.0 && k.write_bytes() >= 0.0);
                 prop_assert!(k.footprint_bytes() <= k.read_bytes() + k.write_bytes() + 1e-9);

@@ -54,8 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let file = fields.next().expect("manifest line has a file");
         let seq_len: u32 = fields.next().expect("has seq_len").parse()?;
         let weight: f64 = fields.next().expect("has weight").parse()?;
-        let trace =
-            seqpoint::gpu_sim::trace_format::read_trace(std::fs::File::open(dir.join(file))?)?;
+        let trace: seqpoint::gpu_sim::KernelTrace =
+            seqpoint::gpu_sim::trace_format::read_trace(std::fs::File::open(dir.join(file))?)?
+                .into();
         let t = device.run_trace(&trace).total_time_s();
         println!(
             "  SL {seq_len:>4}: {:>6} kernels, {t:.4} s x weight {weight}",
