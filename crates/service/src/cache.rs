@@ -62,7 +62,6 @@ pub enum Admission {
 struct CacheInner {
     ready: HashMap<CacheKey, String>,
     inflight: HashMap<CacheKey, String>,
-    hits: u64,
 }
 
 /// The shared result cache (see the module docs).
@@ -77,47 +76,22 @@ impl ResultCache {
         ResultCache::default()
     }
 
-    /// Admit one submission: a `Ready`/`InFlight` hit (counted), or a
-    /// `Miss` that registers `candidate` as the key's in-flight
-    /// primary.
+    /// Admit one submission: a `Ready`/`InFlight` hit, or a `Miss` that
+    /// registers `candidate` as the key's in-flight primary.
     pub fn admit(&self, key: CacheKey, candidate: &str) -> Admission {
         let mut inner = self.inner.lock_recover();
         if let Some(done) = inner.ready.get(&key) {
-            let done = done.clone();
-            inner.hits += 1;
-            return Admission::Ready(done);
+            return Admission::Ready(done.clone());
         }
         if let Some(primary) = inner.inflight.get(&key) {
-            let primary = primary.clone();
-            inner.hits += 1;
-            return Admission::InFlight(primary);
+            return Admission::InFlight(primary.clone());
         }
         inner.inflight.insert(key, candidate.to_owned());
         Admission::Miss
     }
 
-    /// Register `id` as a key's in-flight primary without hit
-    /// accounting (recovery).
-    pub fn register_inflight(&self, key: CacheKey, id: &str) {
-        let mut inner = self.inner.lock_recover();
-        inner.inflight.entry(key).or_insert_with(|| id.to_owned());
-    }
-
-    /// Register `id` as a key's retained result without hit accounting
-    /// (recovery of a finished job).
-    pub fn register_ready(&self, key: CacheKey, id: &str) {
-        let mut inner = self.inner.lock_recover();
-        inner.ready.entry(key).or_insert_with(|| id.to_owned());
-    }
-
-    /// The job id holding a retained result for `key`, if any.
-    pub fn lookup_ready(&self, key: CacheKey) -> Option<String> {
-        let inner = self.inner.lock_recover();
-        inner.ready.get(&key).cloned()
-    }
-
-    /// The primary `id` finished with a result: retire its in-flight
-    /// registration and retain the result mapping.
+    /// Job `id` finished with a result: retire its in-flight
+    /// registration and point the key's retained result at it.
     pub fn complete(&self, key: CacheKey, id: &str) {
         let mut inner = self.inner.lock_recover();
         if inner.inflight.get(&key).is_some_and(|p| p == id) {
@@ -154,10 +128,10 @@ impl ResultCache {
         }
     }
 
-    /// `(hits so far, retained results)` for `Ping` accounting.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock_recover();
-        (inner.hits, inner.ready.len() as u64)
+    /// Retained results, for `Ping` and the `seqpoint_cache_entries`
+    /// gauge.
+    pub fn entries(&self) -> u64 {
+        self.inner.lock_recover().ready.len() as u64
     }
 }
 
@@ -181,8 +155,7 @@ mod tests {
         assert_eq!(cache.admit(key(2), "j3"), Admission::Miss, "other key");
         cache.complete(key(1), "j1");
         assert_eq!(cache.admit(key(1), "j4"), Admission::Ready("j1".into()));
-        let (hits, entries) = cache.stats();
-        assert_eq!((hits, entries), (2, 1));
+        assert_eq!(cache.entries(), 1);
     }
 
     #[test]
@@ -196,7 +169,6 @@ mod tests {
         let reseeded = CacheKey { seed: 8, ..key(1) };
         assert_eq!(cache.admit(resharded, "b"), Admission::Miss);
         assert_eq!(cache.admit(reseeded, "c"), Admission::Miss);
-        assert_eq!(cache.stats().0, 0, "no hits across distinct keys");
     }
 
     #[test]
@@ -218,10 +190,10 @@ mod tests {
     #[test]
     fn evict_only_drops_the_matching_job() {
         let cache = ResultCache::new();
-        cache.register_ready(key(1), "old");
+        cache.complete(key(1), "old");
         cache.evict(key(1), "other");
-        assert_eq!(cache.lookup_ready(key(1)), Some("old".into()));
+        assert_eq!(cache.admit(key(1), "x"), Admission::Ready("old".into()));
         cache.evict(key(1), "old");
-        assert_eq!(cache.lookup_ready(key(1)), None);
+        assert_eq!(cache.admit(key(1), "y"), Admission::Miss);
     }
 }

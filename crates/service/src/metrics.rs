@@ -6,8 +6,9 @@
 //! connection), the scheduler tracks queue depth and wait time per
 //! fairness class, the cache admission path counts hits, misses, and
 //! followers, the worker pool counts leases and reclaims plus worker
-//! wire traffic, and the round loop records round boundaries with
-//! their wall time and item counts.
+//! wire traffic, and the streaming graph's per-stage meter records
+//! every stage's items and wall time, each fold that returned reports
+//! counting as one round.
 //!
 //! Design constraints, in order:
 //!
@@ -640,15 +641,10 @@ impl MetricsRegistry {
         self.cache_followers.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A profiling round completed in `wall_ms`, measuring `items`
-    /// iterations.
-    pub fn round_completed(&self, wall_ms: u64, items: u64) {
-        self.rounds_total.fetch_add(1, Ordering::Relaxed);
-        self.round_wall_ms_total
-            .fetch_add(wall_ms, Ordering::Relaxed);
-        self.round_wall_ms_last.store(wall_ms, Ordering::Relaxed);
-        self.items_total.fetch_add(items, Ordering::Relaxed);
-        self.window_rounds.record(self.now_s(), 1);
+    /// Submissions answered without their own profiling run: retained
+    /// results plus single-flight followers (the `Ping` count).
+    pub fn cache_hits(&self) -> u64 {
+        self.cache_hits.load(Ordering::Relaxed) + self.cache_followers.load(Ordering::Relaxed)
     }
 
     /// The fleet pool granted `n` worker leases.
@@ -859,7 +855,8 @@ impl MetricsRegistry {
 /// The registry doubles as the streaming pipeline's per-stage meter:
 /// `run_job` attaches it at operator construction, so every served
 /// round's source/fold/merge/gate/sink work lands in the `stage`-labeled
-/// families — atomic adds only, preserving the hot-path-cost rule.
+/// families — atomic adds only, preserving the hot-path-cost rule. A
+/// fold that returned reports is also one completed round.
 impl StageMeter for MetricsRegistry {
     fn record(&self, stage: StageId, sample: StageSample) {
         if let Some(slot) = self.stages.get(stage.index()) {
@@ -867,6 +864,16 @@ impl StageMeter for MetricsRegistry {
             slot.items_out
                 .fetch_add(sample.items_out, Ordering::Relaxed);
             slot.wall_ms.fetch_add(sample.wall_ms, Ordering::Relaxed);
+        }
+        if stage == StageId::Fold && sample.items_out > 0 {
+            self.rounds_total.fetch_add(1, Ordering::Relaxed);
+            self.round_wall_ms_total
+                .fetch_add(sample.wall_ms, Ordering::Relaxed);
+            self.round_wall_ms_last
+                .store(sample.wall_ms, Ordering::Relaxed);
+            self.items_total
+                .fetch_add(sample.items_in, Ordering::Relaxed);
+            self.window_rounds.record(self.now_s(), 1);
         }
     }
 }
@@ -961,7 +968,6 @@ mod tests {
         registry.cache_hit();
         registry.cache_miss();
         registry.cache_follower();
-        registry.round_completed(12, 96);
         registry.fleet_leased(3);
         registry.fleet_reclaimed(1);
         registry.worker_in(40);

@@ -38,19 +38,17 @@ use std::time::{Duration, Instant, SystemTime};
 use seqpoint_core::protocol::{
     decode_frame, encode_frame, JobClass, JobSpec, JobState, Request, Response, PROTOCOL_VERSION,
 };
-use sqnn::IterationShape;
 use sqnn_profiler::pipeline::StreamGraph;
 use sqnn_profiler::stream::{
-    stream_fingerprint, CheckpointOptions, RoundExecutor, ShardChunk, ShardReport, StreamOutcome,
-    ThreadExecutor,
+    stream_fingerprint, CheckpointOptions, RoundExecutor, StreamOutcome, ThreadExecutor,
 };
-use sqnn_profiler::{IterationProfile, ProfileError, Profiler};
+use sqnn_profiler::{ProfileError, Profiler};
 
 use crate::cache::{Admission, CacheKey, ResultCache};
 use crate::executor::{SubprocessExecutor, ThrottledExecutor, WorkerPool};
 use crate::metrics::{ConnMetrics, MetricsRegistry, RenderGauges};
 use crate::sched::Scheduler;
-use crate::spec::{render_streamed, resolve, ResolvedJob};
+use crate::spec::{render_streamed, resolve};
 use crate::sync::{CondvarExt, LockExt};
 use crate::transport::{token_matches, Listener, Stream};
 use crate::ServiceError;
@@ -232,10 +230,14 @@ struct JobEntry {
 }
 
 impl JobEntry {
+    /// A job entry for `spec`, keyed for the result cache. Resolving the
+    /// spec builds its corpus, so a submission constructs its entry
+    /// before taking any lock.
     fn new(spec: JobSpec, state: JobState, detail: impl Into<String>) -> Self {
-        let class = spec.class;
-        let client = spec.client.clone();
         JobEntry {
+            key: cache_key(&spec),
+            class: spec.class,
+            client: spec.client.clone(),
             spec: Some(Box::new(spec)),
             state,
             detail: detail.into(),
@@ -246,14 +248,52 @@ impl JobEntry {
             finish_seq: 0,
             finished_at: None,
             waiters: 0,
-            class,
-            client,
-            key: None,
             follows: None,
             followers: Vec::new(),
             cache_hit: false,
         }
     }
+}
+
+/// The result-cache key of a job: the stream fingerprint plus the two
+/// semantic fields it does not pin down on its own (shard count — part
+/// of the rendered output — and corpus seed, which the fingerprint only
+/// sees through the shuffled batch order). `None` when the spec does
+/// not resolve: the job is uncacheable and fails at run time with the
+/// real resolution error.
+fn cache_key(spec: &JobSpec) -> Option<CacheKey> {
+    let resolved = resolve(spec).ok()?;
+    Some(CacheKey {
+        fingerprint: stream_fingerprint(
+            &resolved.network,
+            &resolved.plan,
+            &resolved.device,
+            &resolved.options,
+        ),
+        shards: resolved.options.shards as u32,
+        seed: spec.seed,
+    })
+}
+
+/// How a job ends; see [`Shared::finish`].
+enum Outcome {
+    /// Its result file is in place; the string is the status detail
+    /// (where the result came from).
+    Done(String),
+    /// It failed for this reason.
+    Failed(String),
+    /// It was cancelled.
+    Cancelled,
+}
+
+/// Where [`Shared::admit`] placed a job.
+enum Admitted {
+    /// Answered on the spot from a retained result.
+    Served,
+    /// Attached to the in-flight primary for its key.
+    Follower,
+    /// A new primary: the caller schedules it.
+    Primary,
 }
 
 struct Shared {
@@ -283,24 +323,6 @@ impl Shared {
         self.pool.drain();
     }
 
-    /// The result-cache key of a resolved job: the stream fingerprint
-    /// plus the two semantic fields it does not pin down on its own
-    /// (shard count — part of the rendered output — and corpus seed,
-    /// which the fingerprint only sees through the shuffled batch
-    /// order).
-    fn cache_key(resolved: &ResolvedJob, spec: &JobSpec) -> CacheKey {
-        CacheKey {
-            fingerprint: stream_fingerprint(
-                &resolved.network,
-                &resolved.plan,
-                &resolved.device,
-                &resolved.options,
-            ),
-            shards: resolved.options.shards as u32,
-            seed: spec.seed,
-        }
-    }
-
     fn spec_path(&self, id: &str) -> PathBuf {
         self.config.state_dir.join(format!("{id}.spec.json"))
     }
@@ -325,110 +347,164 @@ impl Shared {
             .map_err(|e| format!("result of job `{id}` unreadable: {e}"))
     }
 
-    /// Stamp `entry`, which just turned terminal, with the next
-    /// completion-order sequence number and the current time, and drop
-    /// its spec.
-    fn stamp_finished(&self, entry: &mut JobEntry) {
-        entry.finish_seq = self.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        entry.finished_at = Some(SystemTime::now());
-        entry.spec = None;
-    }
-
+    /// Move a live job to a non-terminal `state`; terminal states go
+    /// through [`Shared::finish`].
     fn set_state(&self, id: &str, state: JobState, detail: impl Into<String>) {
-        let mut jobs = self.jobs.lock_recover();
-        if let Some(entry) = jobs.get_mut(id) {
+        if let Some(entry) = self.jobs.lock_recover().get_mut(id) {
             entry.state = state;
             entry.detail = detail.into();
         }
-        if state.is_terminal() {
-            self.stamp_terminal(&mut jobs, id);
-        }
-        drop(jobs);
         self.jobs_cv.notify_all();
     }
 
-    /// Stamp a job that just reached a terminal state with its
-    /// completion-order sequence number, settle its single-flight
-    /// followers, then apply the retention bound. Must run under the
-    /// `jobs` lock (the caller passes the guard's map) — the single
-    /// funnel every terminal transition goes through.
-    fn stamp_terminal(&self, jobs: &mut HashMap<String, JobEntry>, id: &str) {
-        let newly_terminal = match jobs.get_mut(id) {
-            Some(entry) if entry.state.is_terminal() && entry.finish_seq == 0 => {
-                self.stamp_finished(entry);
-                match entry.state {
-                    JobState::Done => self.metrics.job_completed(),
-                    JobState::Failed => self.metrics.job_failed(),
-                    JobState::Cancelled => self.metrics.job_cancelled(),
-                    _ => {}
-                }
-                true
-            }
-            _ => false,
+    /// Admit job `id` (its `entry`, not yet in the table) the way every
+    /// submission and every recovered unfinished job enters: answered
+    /// on the spot from a retained result, attached as a follower of the
+    /// in-flight primary for its key, or entered as a new primary the
+    /// caller must schedule. A stale cache record — its job lost the
+    /// result or is gone — is healed by taking over as the primary.
+    /// Counts nothing; runs under the `jobs` lock.
+    fn admit(
+        &self,
+        jobs: &mut HashMap<String, JobEntry>,
+        id: &str,
+        mut entry: JobEntry,
+    ) -> Admitted {
+        let Some(key) = entry.key else {
+            jobs.insert(id.to_owned(), entry);
+            return Admitted::Primary;
         };
-        if newly_terminal {
-            self.settle_followers(jobs, id);
+        match self.cache.admit(key, id) {
+            Admission::Ready(done) => {
+                let output = jobs
+                    .get(&done)
+                    .filter(|d| d.state == JobState::Done)
+                    .and_then(|_| self.read_result(&done).ok());
+                if let Some(output) = output {
+                    entry.cache_hit = true;
+                    jobs.insert(id.to_owned(), entry);
+                    let detail = format!("served from cache (job `{done}`)");
+                    self.finish_copy(jobs, id, &output, detail);
+                    return Admitted::Served;
+                }
+                self.cache.evict(key, &done);
+                self.cache.promote(key, &done, id);
+            }
+            Admission::InFlight(primary) => {
+                let live = jobs.get_mut(&primary).filter(|p| !p.state.is_terminal());
+                if let Some(p) = live {
+                    p.followers.push(id.to_owned());
+                    entry.cache_hit = true;
+                    entry.detail = format!("single-flight: attached to job `{primary}`");
+                    entry.follows = Some(primary);
+                    jobs.insert(id.to_owned(), entry);
+                    return Admitted::Follower;
+                }
+                self.cache.promote(key, &primary, id);
+            }
+            Admission::Miss => {}
         }
-        self.gc_terminal(jobs);
+        jobs.insert(id.to_owned(), entry);
+        Admitted::Primary
     }
 
-    /// Settle the single-flight followers of a primary that just turned
-    /// terminal: `Done` copies the primary's result file to every
-    /// follower (byte-identical, persisted like a real result) — a
-    /// follower whose copy cannot be made fails with the reason —
-    /// `Failed` propagates the failure, and `Cancelled` promotes the
-    /// oldest follower into a scheduled primary so the group still gets
-    /// its one profiling run. Runs under the `jobs` lock.
-    fn settle_followers(&self, jobs: &mut HashMap<String, JobEntry>, id: &str) {
-        let (state, key, reason, mut followers) = {
-            let Some(entry) = jobs.get_mut(id) else {
-                return;
-            };
-            (
-                entry.state,
-                entry.key,
-                entry.reason.clone(),
-                std::mem::take(&mut entry.followers),
-            )
+    /// Move job `id` into its terminal state — the only code that does.
+    /// In order: the outcome's file rules (`Done` drops the checkpoint,
+    /// `Cancelled` the spec and checkpoint, `Failed` writes
+    /// `<id>.error.txt` from the reason it stores); state, detail and
+    /// reason; the completion stamp, dropping the spec; the job metric;
+    /// the single-flight followers; the retention GC. A job that is
+    /// already terminal, or gone, is left as it is. Runs under the
+    /// `jobs` lock: the caller passes the guard's map.
+    fn finish(&self, jobs: &mut HashMap<String, JobEntry>, id: &str, outcome: Outcome) {
+        let Some(entry) = jobs.get_mut(id).filter(|e| !e.state.is_terminal()) else {
+            return;
         };
+        let (state, detail) = match outcome {
+            Outcome::Done(detail) => {
+                let _ = std::fs::remove_file(self.ckpt_path(id));
+                (JobState::Done, detail)
+            }
+            Outcome::Failed(reason) => {
+                let _ = write_atomic(&self.error_path(id), &reason);
+                entry.reason = Some(reason);
+                (JobState::Failed, "failed".to_owned())
+            }
+            Outcome::Cancelled => {
+                let _ = std::fs::remove_file(self.spec_path(id));
+                let _ = std::fs::remove_file(self.ckpt_path(id));
+                (JobState::Cancelled, "cancelled".to_owned())
+            }
+        };
+        entry.state = state;
+        entry.detail = detail;
+        entry.finish_seq = self.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        entry.finished_at = Some(SystemTime::now());
+        entry.spec = None;
+        match state {
+            JobState::Done => self.metrics.job_completed(),
+            JobState::Failed => self.metrics.job_failed(),
+            _ => self.metrics.job_cancelled(),
+        }
+        self.settle_followers(jobs, id);
+        self.gc_terminal(jobs);
+        self.jobs_cv.notify_all();
+    }
+
+    /// [`Shared::finish`] for a caller that does not hold the `jobs` lock.
+    fn end_job(&self, id: &str, outcome: Outcome) {
+        let mut jobs = self.jobs.lock_recover();
+        self.finish(&mut jobs, id, outcome);
+    }
+
+    /// Answer job `id` with a copy of another job's rendered `output`:
+    /// `Done` with `detail` once the copy is persisted, `Failed` when it
+    /// cannot be.
+    fn finish_copy(
+        &self,
+        jobs: &mut HashMap<String, JobEntry>,
+        id: &str,
+        output: &str,
+        detail: String,
+    ) {
+        let outcome = match write_atomic(&self.result_path(id), output) {
+            Ok(()) => Outcome::Done(detail),
+            Err(e) => Outcome::Failed(format!("persisting result: {e}")),
+        };
+        self.finish(jobs, id, outcome);
+    }
+
+    /// Settle the single-flight followers of `id`, which [`finish`]
+    /// just made terminal, and retire its cache slot: `Done` copies its
+    /// result file to every follower (a follower whose copy cannot be
+    /// made fails with the reason) and retains the result, `Failed`
+    /// fails the followers with its reason, and `Cancelled` promotes
+    /// the oldest follower into a scheduled primary so the group still
+    /// gets its one profiling run.
+    ///
+    /// [`finish`]: Shared::finish
+    fn settle_followers(&self, jobs: &mut HashMap<String, JobEntry>, id: &str) {
+        let Some(entry) = jobs.get_mut(id) else {
+            return;
+        };
+        let (state, key, reason) = (entry.state, entry.key, entry.reason.clone());
+        let mut followers = std::mem::take(&mut entry.followers);
         match state {
             JobState::Done => {
                 if let Some(key) = key {
                     self.cache.complete(key, id);
                 }
+                if followers.is_empty() {
+                    return;
+                }
                 let output = self.read_result(id);
                 for fid in followers {
-                    let copied = output.as_ref().map_err(Clone::clone).and_then(|output| {
-                        write_atomic(&self.result_path(&fid), output)
-                            .map_err(|e| format!("persisting result: {e}"))
-                    });
-                    if let Err(reason) = &copied {
-                        let _ = write_atomic(&self.error_path(&fid), reason);
-                    }
-                    if let Some(f) = jobs.get_mut(&fid) {
-                        f.follows = None;
-                        let done = match copied {
-                            Ok(()) => {
-                                f.state = JobState::Done;
-                                f.detail = format!("done (served by job `{id}`)");
-                                true
-                            }
-                            Err(reason) => {
-                                f.state = JobState::Failed;
-                                f.detail =
-                                    "failed to copy its single-flight primary's result".to_owned();
-                                f.reason = Some(reason);
-                                false
-                            }
-                        };
-                        if f.finish_seq == 0 {
-                            self.stamp_finished(f);
-                            if done {
-                                self.metrics.job_completed();
-                            } else {
-                                self.metrics.job_failed();
-                            }
+                    match &output {
+                        Ok(output) => {
+                            let detail = format!("done (served by job `{id}`)");
+                            self.finish_copy(jobs, &fid, output, detail);
                         }
+                        Err(reason) => self.finish(jobs, &fid, Outcome::Failed(reason.clone())),
                     }
                 }
             }
@@ -438,17 +514,7 @@ impl Shared {
                 }
                 let reason = format!("primary job `{id}` failed: {}", reason.unwrap_or_default());
                 for fid in followers {
-                    let _ = write_atomic(&self.error_path(&fid), &reason);
-                    if let Some(f) = jobs.get_mut(&fid) {
-                        f.state = JobState::Failed;
-                        f.detail = "failed with its single-flight primary".to_owned();
-                        f.reason = Some(reason.clone());
-                        f.follows = None;
-                        if f.finish_seq == 0 {
-                            self.stamp_finished(f);
-                            self.metrics.job_failed();
-                        }
-                    }
+                    self.finish(jobs, &fid, Outcome::Failed(reason.clone()));
                 }
             }
             JobState::Cancelled => {
@@ -576,12 +642,13 @@ fn valid_job_id(id: &str) -> bool {
 }
 
 /// Scan the state directory and rebuild the job table: done/failed jobs
-/// reload their outcome, everything else re-enters the queue (resuming
-/// from its checkpoint when one exists). Stale `*.tmp` siblings from a
-/// writer killed between write and rename are swept first, and a job
-/// whose spec no longer parses is surfaced as Failed rather than
-/// silently vanishing. Returns the recovered-unfinished job ids, sorted
-/// for a deterministic queue order.
+/// reload their outcome, everything else is admitted again — served
+/// from a retained result, attached to a recovered primary, or requeued
+/// to resume from its checkpoint. Stale `*.tmp` siblings from a writer
+/// killed between write and rename are swept first, and a job whose
+/// spec no longer parses is surfaced as Failed rather than silently
+/// vanishing. Returns the recovered primaries, sorted for a
+/// deterministic queue order.
 fn recover(shared: &Shared) -> Result<Vec<String>, ServiceError> {
     let dir = std::fs::read_dir(&shared.config.state_dir)
         .map_err(|e| ServiceError::io("reading state dir", &e))?;
@@ -642,107 +709,47 @@ fn recover(shared: &Shared) -> Result<Vec<String>, ServiceError> {
             jobs.insert(id.to_owned(), failed);
             terminal.push((file_mtime(shared.error_path(id)), id.to_owned()));
         } else {
-            jobs.insert(
-                id.to_owned(),
-                JobEntry::new(spec, JobState::Queued, "recovered; waiting for a slot"),
-            );
-            queued.push(id.to_owned());
+            queued.push((id.to_owned(), spec));
         }
     }
     // Seed completion-order stamps from the observed mtimes (ties break
-    // on id for determinism), then apply the retention bound exactly as
-    // a running server would — a restart must not resurrect jobs the
-    // bound would have evicted, nor exceed it with recovered ones.
+    // on id for determinism) and retain each finished result in that
+    // order, so a key points at its newest result as on a running
+    // server.
     terminal.sort();
     for (seq, (mtime, id)) in terminal.iter().enumerate() {
         if let Some(entry) = jobs.get_mut(id) {
             entry.finish_seq = seq as u64 + 1;
             entry.finished_at = Some(*mtime);
+            entry.spec = None;
+            if let (JobState::Done, Some(key)) = (entry.state, entry.key) {
+                shared.cache.complete(key, id);
+            }
         }
     }
     shared
         .finish_counter
         .store(terminal.len() as u64, Ordering::Relaxed);
-    // Rebuild the result cache and single-flight groups (before the GC,
-    // which needs the keys to keep the cache index consistent under
-    // eviction). Sorted-id iteration keeps recovery deterministic.
-    let mut ids: Vec<String> = jobs.keys().cloned().collect();
-    ids.sort();
-    for id in &ids {
-        let Some(entry) = jobs.get_mut(id) else {
-            continue;
-        };
-        if let Some(spec) = entry.spec.as_deref() {
-            // An empty model marks the unreadable-spec placeholder.
-            if !spec.model.is_empty() {
-                entry.key = resolve(spec).ok().map(|r| Shared::cache_key(&r, spec));
-            }
-        }
-        // Terminal jobs keep no spec once their key is known.
-        if entry.state.is_terminal() {
-            entry.spec = None;
+    // Unfinished jobs go through the submission admission in sorted-id
+    // order: a key whose result is retained settles its recovered
+    // duplicates outright, and duplicates of an unfinished job collapse
+    // back into one primary plus followers. This is what makes a waiter
+    // that was attached to an in-flight job at SIGTERM receive the
+    // resumed run's result instead of triggering a second profiling run.
+    queued.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut primaries = Vec::new();
+    for (id, spec) in queued {
+        let entry = JobEntry::new(spec, JobState::Queued, "recovered; waiting for a slot");
+        if let Admitted::Primary = shared.admit(&mut jobs, &id, entry) {
+            primaries.push(id);
         }
     }
-    for id in &ids {
-        let Some(entry) = jobs.get(id) else { continue };
-        if entry.state == JobState::Done {
-            if let Some(key) = entry.key {
-                shared.cache.register_ready(key, id);
-            }
-        }
-    }
-    // Unfinished jobs sharing a key collapse back into one primary plus
-    // followers; a key whose result is already retained settles its
-    // recovered duplicates outright. This is what makes a waiter that
-    // was attached to an in-flight job at SIGTERM receive the resumed
-    // run's result instead of triggering a second profiling run.
-    queued.sort();
-    let mut requeue_ids = Vec::new();
-    let mut primaries: HashMap<CacheKey, String> = HashMap::new();
-    for id in &queued {
-        let Some(key) = jobs.get(id).and_then(|e| e.key) else {
-            requeue_ids.push(id.clone());
-            continue;
-        };
-        if let Some(done) = shared.cache.lookup_ready(key) {
-            // A result that cannot be copied leaves the job to profile
-            // afresh below.
-            let copied = shared
-                .read_result(&done)
-                .and_then(|output| {
-                    write_atomic(&shared.result_path(id), &output).map_err(|e| e.to_string())
-                })
-                .is_ok();
-            if copied {
-                if let Some(entry) = jobs.get_mut(id) {
-                    entry.state = JobState::Done;
-                    entry.detail = format!("recovered: served from cache (job `{done}`)");
-                    entry.cache_hit = true;
-                    shared.stamp_finished(entry);
-                }
-                continue;
-            }
-        }
-        if let Some(primary) = primaries.get(&key) {
-            let primary = primary.clone();
-            if let Some(entry) = jobs.get_mut(id) {
-                entry.follows = Some(primary.clone());
-                entry.cache_hit = true;
-                entry.detail = format!("single-flight: attached to job `{primary}`");
-            }
-            if let Some(p) = jobs.get_mut(&primary) {
-                p.followers.push(id.clone());
-            }
-        } else {
-            primaries.insert(key, id.clone());
-            shared.cache.register_inflight(key, id);
-            requeue_ids.push(id.clone());
-        }
-    }
+    // A restart must not resurrect jobs the retention bound would have
+    // evicted, nor exceed it with recovered ones.
     shared.gc_terminal(&mut jobs);
     drop(jobs);
     shared.next_job.store(max_auto + 1, Ordering::Relaxed);
-    Ok(requeue_ids)
+    Ok(primaries)
 }
 
 fn submit(
@@ -768,7 +775,6 @@ fn submit(
             reason: "spec needs model and dataset".to_owned(),
         };
     }
-    let client = spec.client.clone();
     let id = match requested {
         Some(id) => {
             if !valid_job_id(&id) {
@@ -787,10 +793,6 @@ fn submit(
         }
         None => format!("job-{}", shared.next_job.fetch_add(1, Ordering::Relaxed)),
     };
-    // Resolve the spec outside every lock to derive the result-cache
-    // key. A spec that does not resolve is admitted uncached and fails
-    // at run time with the real resolution error, exactly as before.
-    let key = resolve(&spec).ok().map(|r| Shared::cache_key(&r, &spec));
     // Persist the spec to a connection-unique temp file *before* taking
     // any lock: the slow filesystem write must not stall runners and
     // status queries behind the mutexes.
@@ -805,18 +807,25 @@ fn submit(
             reason: format!("persisting spec: {e}"),
         };
     }
-    // Duplicate check, quota check, cache admission, capacity check,
-    // rename-into-place, and insertion are one critical section (jobs →
-    // sched/cache lock order, as everywhere): two racing submissions of
-    // the same id or key must not both pass the checks. Rename is a
-    // metadata operation, cheap enough to hold locks over.
+    // Resolving the spec for its cache key builds the corpus: outside
+    // every lock too.
+    let entry = JobEntry::new(spec, JobState::Queued, "queued");
+    let (class, client) = (entry.class, entry.client.clone());
+    // Duplicate check, quota check, rename-into-place, admission and
+    // capacity check are one critical section (jobs → sched/cache lock
+    // order, as everywhere): two racing submissions of the same id or
+    // key must not both pass the checks. Rename is a metadata
+    // operation, cheap enough to hold locks over.
     let mut jobs = shared.jobs.lock_recover();
-    if jobs.contains_key(&id) {
+    let refuse = |jobs: std::sync::MutexGuard<'_, HashMap<String, JobEntry>>,
+                  response: Response| {
         drop(jobs);
         let _ = std::fs::remove_file(&tmp);
-        return Response::Rejected {
-            reason: format!("job `{id}` already exists"),
-        };
+        response
+    };
+    if jobs.contains_key(&id) {
+        let reason = format!("job `{id}` already exists");
+        return refuse(jobs, Response::Rejected { reason });
     }
     // Per-client admission quota, checked before the cache: a client at
     // its in-flight bound is rejected even for would-be cache hits, so
@@ -824,135 +833,38 @@ fn submit(
     if let Some(quota) = shared.config.client_quota {
         let open = jobs
             .values()
-            .filter(|e| e.client == spec.client && !e.state.is_terminal())
+            .filter(|e| e.client == client && !e.state.is_terminal())
             .count();
         if open >= quota {
-            drop(jobs);
-            let _ = std::fs::remove_file(&tmp);
-            return Response::Rejected {
-                reason: format!(
-                    "client `{}` has {open} job(s) in flight (quota {quota}); retry later",
-                    spec.client
-                ),
-            };
+            let reason = format!(
+                "client `{client}` has {open} job(s) in flight (quota {quota}); retry later"
+            );
+            return refuse(jobs, Response::Rejected { reason });
         }
     }
-    let persist = |jobs: std::sync::MutexGuard<'_, HashMap<String, JobEntry>>,
-                   e: std::io::Error|
-     -> Response {
-        drop(jobs);
-        let _ = std::fs::remove_file(&tmp);
-        Response::Error {
-            reason: format!("persisting spec: {e}"),
-        }
-    };
-    let admission = match key {
-        Some(key) => shared.cache.admit(key, &id),
-        None => Admission::Miss,
-    };
-    if let Admission::Ready(primary) = &admission {
-        // Retained result: answer immediately, byte-identical, without
-        // a profiling run, by copying the primary's result file.
-        let cached = jobs
-            .get(primary.as_str())
-            .filter(|p| p.state == JobState::Done)
-            .and_then(|_| shared.read_result(primary).ok());
-        if let Some(output) = cached {
-            if let Err(e) = std::fs::rename(&tmp, &spec_path) {
-                return persist(jobs, e);
-            }
-            let mut entry = JobEntry::new(
-                spec,
-                JobState::Done,
-                format!("served from cache (job `{primary}`)"),
-            );
-            entry.key = key;
-            entry.cache_hit = true;
-            if let Err(e) = write_atomic(&shared.result_path(&id), &output) {
-                let reason = format!("persisting result: {e}");
-                let _ = write_atomic(&shared.error_path(&id), &reason);
-                entry.state = JobState::Failed;
-                entry.detail = "failed".to_owned();
-                entry.reason = Some(reason);
-            }
-            jobs.insert(id.clone(), entry);
-            shared.stamp_terminal(&mut jobs, &id);
-            drop(jobs);
-            shared.metrics.cache_hit();
-            shared.metrics.job_submitted(&client);
-            shared.jobs_cv.notify_all();
-            return Response::Submitted { job: id };
-        }
-        // The entry the index pointed at lost its result (evicted out
-        // from under the cache, or its file is unreadable): heal by
-        // taking over as the in-flight primary and profiling fresh. A
-        // Ready admission implies a key; if it is somehow absent, skip
-        // the healing and just reprofile.
-        if let Some(key) = key {
-            shared.cache.evict(key, primary);
-            shared.cache.register_inflight(key, &id);
-        }
-    } else if let Admission::InFlight(primary) = &admission {
-        if jobs
-            .get(primary.as_str())
-            .is_some_and(|p| !p.state.is_terminal())
-        {
-            // Single-flight: attach as a follower of the queued/running
-            // primary. Never scheduled — settled by the primary's
-            // outcome.
-            if let Err(e) = std::fs::rename(&tmp, &spec_path) {
-                return persist(jobs, e);
-            }
-            let mut entry = JobEntry::new(
-                spec,
-                JobState::Queued,
-                format!("single-flight: attached to job `{primary}`"),
-            );
-            entry.key = key;
-            entry.cache_hit = true;
-            entry.follows = Some(primary.clone());
-            let primary = primary.clone();
-            jobs.insert(id.clone(), entry);
-            // Checked non-terminal at the top of this branch and the
-            // lock has been held since, so the primary is still there.
-            if let Some(p) = jobs.get_mut(&primary) {
-                p.followers.push(id.clone());
-            }
-            drop(jobs);
-            shared.metrics.cache_follower();
-            shared.metrics.job_submitted(&client);
-            shared.jobs_cv.notify_all();
-            return Response::Submitted { job: id };
-        }
-        // Stale in-flight record (its primary is gone): take over. An
-        // InFlight admission implies a key; nothing to fix up if not.
-        if let Some(key) = key {
-            shared.cache.promote(key, primary, &id);
-        }
+    if let Err(e) = std::fs::rename(&tmp, &spec_path) {
+        let reason = format!("persisting spec: {e}");
+        return refuse(jobs, Response::Error { reason });
     }
-    // Miss (or a healed stale hit): schedule a real profiling run.
-    if !shared.sched.push(&id, spec.class, &spec.client) {
+    let key = entry.key;
+    let admitted = shared.admit(&mut jobs, &id, entry);
+    if matches!(admitted, Admitted::Primary) && !shared.sched.push(&id, class, &client) {
+        jobs.remove(&id);
         if let Some(key) = key {
             shared.cache.abandon(key, &id);
         }
         drop(jobs);
-        let _ = std::fs::remove_file(&tmp);
+        let _ = std::fs::remove_file(&spec_path);
         return Response::Rejected {
             reason: format!("queue full (cap {}); retry later", shared.config.queue_cap),
         };
     }
-    if let Err(e) = std::fs::rename(&tmp, &spec_path) {
-        shared.sched.remove(&id);
-        if let Some(key) = key {
-            shared.cache.abandon(key, &id);
-        }
-        return persist(jobs, e);
-    }
-    let mut entry = JobEntry::new(spec, JobState::Queued, "queued");
-    entry.key = key;
-    jobs.insert(id.clone(), entry);
     drop(jobs);
-    shared.metrics.cache_miss();
+    match admitted {
+        Admitted::Served => shared.metrics.cache_hit(),
+        Admitted::Follower => shared.metrics.cache_follower(),
+        Admitted::Primary => shared.metrics.cache_miss(),
+    }
     shared.metrics.job_submitted(&client);
     Response::Submitted { job: id }
 }
@@ -976,12 +888,10 @@ fn cancel(shared: &Shared, id: &str) -> Response {
             Response::Cancelled { job: id.to_owned() }
         }
         JobState::Queued | JobState::Paused => {
-            entry.state = JobState::Cancelled;
-            entry.detail = "cancelled before running".to_owned();
             entry.cancel.store(true, Ordering::Relaxed);
-            // A follower detaches from its primary before settlement so
-            // the primary's outcome no longer touches it; a primary's
-            // own followers are settled (promoted) by stamp_terminal.
+            // A follower detaches from its primary first so the
+            // primary's outcome no longer touches it; a primary's own
+            // followers are settled (promoted) by `finish`.
             if let Some(primary) = entry.follows.take() {
                 if let Some(p) = jobs.get_mut(&primary) {
                     p.followers.retain(|f| f != id);
@@ -989,11 +899,7 @@ fn cancel(shared: &Shared, id: &str) -> Response {
             } else {
                 shared.sched.remove(id);
             }
-            shared.stamp_terminal(&mut jobs, id);
-            drop(jobs);
-            let _ = std::fs::remove_file(shared.spec_path(id));
-            let _ = std::fs::remove_file(shared.ckpt_path(id));
-            shared.jobs_cv.notify_all();
+            shared.finish(&mut jobs, id, Outcome::Cancelled);
             Response::Cancelled { job: id.to_owned() }
         }
     }
@@ -1159,18 +1065,7 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     };
     shared.jobs_cv.notify_all();
 
-    let fail = |message: String| {
-        let _ = write_atomic(&shared.error_path(id), &message);
-        let mut jobs = shared.jobs.lock_recover();
-        if let Some(entry) = jobs.get_mut(id) {
-            entry.state = JobState::Failed;
-            entry.detail = "failed".to_owned();
-            entry.reason = Some(message);
-        }
-        shared.stamp_terminal(&mut jobs, id);
-        drop(jobs);
-        shared.jobs_cv.notify_all();
-    };
+    let fail = |reason: String| shared.end_job(id, Outcome::Failed(reason));
 
     let resolved = match resolve(&spec) {
         Ok(resolved) => resolved,
@@ -1198,16 +1093,10 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     );
 
     let run = |executor: &mut dyn RoundExecutor| {
-        // Innermost wrapper, so the recorded wall time is the round's
-        // actual execution — tenancy throttling sleeps are excluded.
-        let mut metered = MeteredExecutor {
-            inner: executor,
-            metrics: &shared.metrics,
-        };
         // One canonical operator-graph assembly per attempt, with the
         // shared registry attached as the per-stage meter: source/fold/
-        // merge/gate/sink items, wall time, and channel backpressure
-        // land in the `stage`-labeled scrape families.
+        // merge/gate/sink items and wall time land in the `stage`-labeled
+        // scrape families, and each fold in the round counters.
         let assemble = |executor: &mut dyn RoundExecutor| {
             StreamGraph::new(executor, &resolved.plan, &resolved.options, fingerprint)
                 .with_checkpoint(&policy)
@@ -1216,11 +1105,10 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
                 .run()
         };
         if spec.throttle_ms > 0 {
-            let mut throttled =
-                ThrottledExecutor::new(&mut metered, spec.throttle_ms, &interrupted);
+            let mut throttled = ThrottledExecutor::new(executor, spec.throttle_ms, &interrupted);
             assemble(&mut throttled)
         } else {
-            assemble(&mut metered)
+            assemble(executor)
         }
     };
     let profiler = Profiler::new();
@@ -1250,28 +1138,19 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     match outcome {
         Ok(StreamOutcome::Complete(profile)) => {
             if cancel.load(Ordering::Relaxed) {
-                return finalize_cancel(shared, id);
+                return shared.end_job(id, Outcome::Cancelled);
             }
             let output = render_streamed(&spec.model, &spec.dataset, spec.config, &profile);
-            if let Err(e) = write_atomic(&shared.result_path(id), &output) {
-                return fail(format!("persisting result: {e}"));
+            // Written before the jobs lock is taken: the slow write must
+            // not stall other runners and status queries.
+            match write_atomic(&shared.result_path(id), &output) {
+                Ok(()) => shared.end_job(id, Outcome::Done("done".to_owned())),
+                Err(e) => fail(format!("persisting result: {e}")),
             }
-            // The checkpoint is redundant once the result exists (a
-            // restart reloads Done from the result file), so reclaim it
-            // instead of letting the state dir grow per finished job.
-            let _ = std::fs::remove_file(shared.ckpt_path(id));
-            let mut jobs = shared.jobs.lock_recover();
-            if let Some(entry) = jobs.get_mut(id) {
-                entry.state = JobState::Done;
-                entry.detail = "done".to_owned();
-            }
-            shared.stamp_terminal(&mut jobs, id);
-            drop(jobs);
-            shared.jobs_cv.notify_all();
         }
         Ok(StreamOutcome::Paused(pause)) => {
             if cancel.load(Ordering::Relaxed) {
-                return finalize_cancel(shared, id);
+                return shared.end_job(id, Outcome::Cancelled);
             }
             if shared.is_draining() {
                 shared.set_state(
@@ -1341,43 +1220,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     }
 }
 
-/// [`RoundExecutor`] shim that meters round boundaries — wall time per
-/// round and items measured — into the shared registry. Placement-
-/// agnostic: it wraps whichever executor `run_job` picked.
-struct MeteredExecutor<'a> {
-    inner: &'a mut dyn RoundExecutor,
-    metrics: &'a MetricsRegistry,
-}
-
-impl RoundExecutor for MeteredExecutor<'_> {
-    fn execute_round(&mut self, chunks: &[ShardChunk]) -> Result<Vec<ShardReport>, ProfileError> {
-        let started = Instant::now();
-        let reports = self.inner.execute_round(chunks)?;
-        let items: u64 = chunks
-            .iter()
-            .flat_map(|c| c.batches.iter())
-            .map(|b| u64::from(b.samples))
-            .sum();
-        self.metrics
-            .round_completed(started.elapsed().as_millis() as u64, items);
-        Ok(reports)
-    }
-
-    fn profile_shape(&mut self, shape: IterationShape) -> Result<IterationProfile, ProfileError> {
-        self.inner.profile_shape(shape)
-    }
-
-    fn seed_shapes(&mut self, shapes: &[IterationProfile]) {
-        self.inner.seed_shapes(shapes);
-    }
-}
-
-fn finalize_cancel(shared: &Shared, id: &str) {
-    let _ = std::fs::remove_file(shared.spec_path(id));
-    let _ = std::fs::remove_file(shared.ckpt_path(id));
-    shared.set_state(id, JobState::Cancelled, "cancelled");
-}
-
 fn requeue(shared: &Shared, id: &str) {
     let (class, client) = {
         let jobs = shared.jobs.lock_recover();
@@ -1405,8 +1247,8 @@ fn runner_loop(shared: Arc<Shared>) {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(&shared, &id)));
         if outcome.is_err() {
             eprintln!("seqpoint serve: job `{id}` panicked; marking it failed");
-            let _ = write_atomic(&shared.error_path(&id), "internal panic while running");
-            shared.set_state(&id, JobState::Failed, "internal panic while running");
+            let reason = "internal panic while running".to_owned();
+            shared.end_job(&id, Outcome::Failed(reason));
         }
     }
 }
@@ -1599,15 +1441,14 @@ fn handle_connection(shared: Arc<Shared>, mut stream: Stream, requires_auth: boo
                         .filter(|e| e.state == JobState::Running)
                         .count() as u64
                 };
-                let (cache_hits, cache_entries) = shared.cache.stats();
                 let (fleet_leases, fleet_reclaimed) = shared.pool.fleet_stats();
                 Response::Pong {
                     version: PROTOCOL_VERSION,
                     queued,
                     running,
                     workers: shared.worker_pids.lock_recover().clone(),
-                    cache_hits,
-                    cache_entries,
+                    cache_hits: shared.metrics.cache_hits(),
+                    cache_entries: shared.cache.entries(),
                     fleet_idle: shared.pool.idle_pids(),
                     fleet_leases,
                     fleet_reclaimed,
@@ -1653,11 +1494,10 @@ fn metrics_text(shared: &Shared) -> String {
             .filter(|e| e.state == JobState::Running)
             .count() as u64
     };
-    let (_, cache_entries) = shared.cache.stats();
     let fleet_idle = shared.pool.idle_pids().len() as u64;
     shared.metrics.render(&RenderGauges {
         jobs_running,
-        cache_entries,
+        cache_entries: shared.cache.entries(),
         fleet_idle,
     })
 }

@@ -477,6 +477,7 @@ fn a_deleted_result_file_is_an_error_and_a_duplicate_reprofiles() {
     assert_eq!(client.wait_result(&dup).unwrap(), reference);
     let (_, _, hit) = probe(&mut client, &dup);
     assert!(!hit, "a lost result must not count as a cache hit");
+    assert_eq!(cache_counters(&mut client), (0, 1), "nor in the ping count");
 
     shutdown(&socket);
     handle.join().unwrap();

@@ -420,6 +420,29 @@ fn bad_specs_fail_the_job_not_the_server() {
     let good = client.submit(None, quick_spec(3_000, 5)).unwrap();
     assert!(client.wait_result(&good).is_ok());
 
+    // The reason a job failed with is the one its error file holds, so
+    // a restart answers the same `Failed` frame.
+    let failed_reason = |client: &mut Client| match client
+        .request(&Request::Result {
+            job: id.clone(),
+            wait: false,
+        })
+        .unwrap()
+    {
+        Response::Failed { reason, .. } => reason,
+        other => panic!("expected a failure, got {other:?}"),
+    };
+    let before = failed_reason(&mut client);
+    let on_disk = std::fs::read_to_string(scratch.state().join(format!("{id}.error.txt"))).unwrap();
+    assert_eq!(before, on_disk);
+    assert!(before.contains("unknown model"), "{before}");
+    shutdown(&socket);
+    handle.join().unwrap();
+
+    let handle = start_server(ServeConfig::new(scratch.socket(), scratch.state()));
+    let mut client = Client::connect_ready(&socket, Duration::from_secs(10)).unwrap();
+    assert_eq!(failed_reason(&mut client), before);
+
     shutdown(&socket);
     handle.join().unwrap();
 }

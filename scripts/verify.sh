@@ -22,6 +22,12 @@ cargo build --release
 step test "workspace tests"
 cargo test -q --workspace
 
+# The benchmark harness is its own Cargo workspace with a path
+# dependency on the root crate: build it against the library surfaces
+# and run its unit tests, as CI's test job does.
+step seqbench "seqbench build + unit tests"
+cargo test --offline --manifest-path seqbench/Cargo.toml
+
 step smoke "checkpoint/resume smoke (seqpoint stream)"
 bash scripts/smoke_stream.sh target/release/seqpoint
 

@@ -28,11 +28,13 @@ USAGE:
                      --dataset <iwslt15|wmt16|librispeech100>
                      [--samples N] [--config 1..5] [--seed S]
   seqpoint identify  --log <epoch.csv> [--error PCT] [--k0 K] [--n N] [--max-k K]
-  seqpoint baselines --log <epoch.csv> [--error PCT]
-  seqpoint project   --log <epoch.csv> --restats <sl_stats.csv> [--error PCT]
+  seqpoint baselines --log <epoch.csv> [--error PCT] [--k0 K] [--n N] [--max-k K]
+  seqpoint project   --log <epoch.csv> --restats <sl_stats.csv>
+                     [--error PCT] [--k0 K] [--n N] [--max-k K]
   seqpoint stream    --model <...> --dataset <...> [--samples N] [--config 1..5]
                      [--seed S] [--batch B] [--shards K] [--round R]
-                     [--window W] [--unseen P] [--quant Q] [pipeline flags]
+                     [--window W] [--unseen P] [--quant Q]
+                     [--error PCT] [--k0 K] [--n N] [--max-k K]
                      [--checkpoint FILE] [--checkpoint-every N] [--max-rounds M]
   seqpoint serve     --socket PATH --state-dir DIR [--jobs N] [--queue-cap N]
                      [--placement thread|subprocess] [--workers N]
@@ -41,13 +43,17 @@ USAGE:
                      [--metrics-addr HOST:PORT]
   seqpoint submit    (--socket PATH | --connect HOST:PORT)
                      [--token-file FILE] [--io-timeout SECS] [--client NAME]
-                     --model <...> --dataset <...> [stream flags]
+                     --model <...> --dataset <...> [--samples N] [--config 1..5]
+                     [--seed S] [--batch B] [--shards K] [--round R]
+                     [--window W] [--unseen P] [--quant Q]
+                     [--error PCT] [--k0 K] [--n N] [--max-k K]
                      [--job ID] [--class interactive|batch] [--max-rounds M]
                      [--throttle-ms MS] [--detach] [--stats]
   seqpoint submit    (--socket PATH | --connect HOST:PORT) [--token-file FILE]
                      (--ping | --status ID | --result ID |
                      --cancel ID | --shutdown)
   seqpoint worker    (--socket PATH | --connect HOST:PORT) [--token-file FILE]
+                     [--io-timeout SECS]
   seqpoint lint      [--root DIR] [--pass lock-order,panics,protocol]
                      [--github] [--bless-protocol]
 
@@ -123,17 +129,31 @@ re-records the frame digest after a deliberate PROTOCOL_VERSION bump.
 
 Epoch-log CSV format: one `seq_len,stat` pair per line (header optional).";
 
-/// Every subcommand, as `seqpoint help CMD` accepts it.
-const COMMANDS: &[&str] = &[
-    "simulate",
-    "identify",
-    "baselines",
-    "project",
-    "stream",
-    "serve",
-    "submit",
-    "worker",
-    "lint",
+/// Every subcommand with the flags its USAGE block names, the only
+/// ones it accepts (`tests/cli_help.rs` pins each list to the text).
+const COMMANDS: &[(&str, &str)] = &[
+    ("simulate", "model dataset samples config seed"),
+    ("identify", "log error k0 n max-k"),
+    ("baselines", "log error k0 n max-k"),
+    ("project", "log restats error k0 n max-k"),
+    (
+        "stream",
+        "model dataset samples config seed batch shards round window unseen quant \
+         error k0 n max-k checkpoint checkpoint-every max-rounds",
+    ),
+    (
+        "serve",
+        "socket state-dir jobs queue-cap placement workers tcp token-file \
+         retain-jobs retain-for fair fifo quota metrics-addr",
+    ),
+    (
+        "submit",
+        "socket connect token-file io-timeout client model dataset samples config seed \
+         batch shards round window unseen quant error k0 n max-k job class max-rounds \
+         throttle-ms detach stats ping status result cancel shutdown",
+    ),
+    ("worker", "socket connect token-file io-timeout"),
+    ("lint", "root pass github bless-protocol"),
 ];
 
 fn unknown_command(name: &str) -> CliError {
@@ -157,13 +177,23 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(argv: &[String]) -> Result<Flags, CliError> {
+    /// Parse `cmd`'s arguments, rejecting any flag it does not declare.
+    fn parse(cmd: &str, argv: &[String]) -> Result<Flags, CliError> {
+        let Some((_, accepted)) = COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+            return Err(unknown_command(cmd));
+        };
         let mut args = Vec::new();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument `{flag}`")));
             };
+            if !accepted.split_whitespace().any(|known| known == name) {
+                return Err(CliError::Usage(format!(
+                    "unknown flag `{flag}` for `seqpoint {cmd}` (accepted: --{})",
+                    accepted.split_whitespace().collect::<Vec<_>>().join(", --")
+                )));
+            }
             if BOOL_FLAGS.contains(&name) {
                 args.push((name.to_owned(), String::from("true")));
                 continue;
@@ -252,11 +282,11 @@ fn run() -> Result<String, CliError> {
     if help_cmd || rest.iter().any(help_flag) {
         let topic = if help_cmd { rest.first() } else { Some(cmd) };
         return match topic {
-            Some(name) if !COMMANDS.contains(&name.as_str()) => Err(unknown_command(name)),
+            Some(name) if !COMMANDS.iter().any(|(c, _)| c == name) => Err(unknown_command(name)),
             _ => Ok(USAGE.to_owned()),
         };
     }
-    let flags = Flags::parse(rest)?;
+    let flags = Flags::parse(cmd, rest)?;
     match cmd.as_str() {
         "simulate" => cli::simulate(
             flags.required("model")?,
