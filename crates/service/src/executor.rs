@@ -25,7 +25,7 @@
 //! test pins end to end.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use seqpoint_core::online::OnlineSlTracker;
@@ -34,7 +34,7 @@ use sqnn::IterationShape;
 use sqnn_profiler::stream::{RoundExecutor, ShardChunk, ShardReport};
 use sqnn_profiler::{IterationProfile, ProfileError};
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Count, MetricsRegistry};
 use crate::sync::{CondvarExt, LockExt};
 use crate::transport::Stream;
 
@@ -45,18 +45,15 @@ pub struct WorkerConn {
     reader: BufReader<Stream>,
     /// The worker's process id, as announced in its hello.
     pub pid: u64,
-    /// Registry snapshot taken at registration time; `None` in library
-    /// tests, where worker wire traffic is simply not recorded.
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// Receives this connection's worker wire traffic.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl WorkerConn {
     fn send(&mut self, task: &WorkerTask) -> std::io::Result<()> {
         let mut line = encode_frame(task);
         line.push('\n');
-        if let Some(metrics) = &self.metrics {
-            metrics.worker_out(line.len() as u64);
-        }
+        self.metrics.worker_out(line.len() as u64);
         self.writer.write_all(line.as_bytes())
     }
 
@@ -69,9 +66,7 @@ impl WorkerConn {
                 "worker closed the connection",
             ));
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.worker_in(n as u64);
-        }
+        self.metrics.worker_in(n as u64);
         decode_frame(&line)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
@@ -98,11 +93,6 @@ impl WorkerConn {
 struct PoolInner {
     idle: Vec<WorkerConn>,
     draining: bool,
-    /// Per-round leases granted over the pool's lifetime.
-    leases: u64,
-    /// Connections found dead at lease time (or unable to take the
-    /// lease frame) and reclaimed from the pool.
-    reclaimed: u64,
 }
 
 /// A blocking pool of registered worker connections, shared by every
@@ -110,15 +100,8 @@ struct PoolInner {
 pub struct WorkerPool {
     inner: Mutex<PoolInner>,
     cv: Condvar,
-    /// Attached by the daemon after construction; absent in library
-    /// tests, where fleet metrics are simply not recorded.
-    metrics: OnceLock<Arc<MetricsRegistry>>,
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::new()
-    }
+    /// Receives lease and reclaim counts and worker wire traffic.
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// Upper bound on waiting for one shard-chunk reply. Replies normally
@@ -130,25 +113,16 @@ impl Default for WorkerPool {
 const ROUND_RECV_TIMEOUT: Duration = Duration::from_secs(600);
 
 impl WorkerPool {
-    /// An empty pool.
-    pub fn new() -> Self {
+    /// An empty pool recording its fleet metrics in `metrics`.
+    pub fn new(metrics: Arc<MetricsRegistry>) -> Self {
         WorkerPool {
             inner: Mutex::new(PoolInner {
                 idle: Vec::new(),
                 draining: false,
-                leases: 0,
-                reclaimed: 0,
             }),
             cv: Condvar::new(),
-            metrics: OnceLock::new(),
+            metrics,
         }
-    }
-
-    /// Attach the daemon's metrics registry: from here on the pool
-    /// records lease/reclaim events and worker wire traffic. First
-    /// call wins.
-    pub fn attach_metrics(&self, metrics: Arc<MetricsRegistry>) {
-        let _ = self.metrics.set(metrics);
     }
 
     /// Register a connection that announced itself as a worker. Returns
@@ -171,7 +145,7 @@ impl WorkerPool {
             writer: stream,
             reader,
             pid,
-            metrics: self.metrics.get().cloned(),
+            metrics: Arc::clone(&self.metrics),
         });
         self.cv.notify_all();
         true
@@ -207,17 +181,11 @@ impl WorkerPool {
                         // Dead registration: drop the connection. The
                         // supervisor (or the remote operator) brings a
                         // replacement; nothing here blocks on it.
-                        inner.reclaimed += 1;
-                        if let Some(metrics) = self.metrics.get() {
-                            metrics.fleet_reclaimed(1);
-                        }
+                        self.metrics.add(Count::FleetReclaims, 1);
                     }
                 }
                 if !leased.is_empty() {
-                    inner.leases += leased.len() as u64;
-                    if let Some(metrics) = self.metrics.get() {
-                        metrics.fleet_leased(leased.len() as u64);
-                    }
+                    self.metrics.add(Count::FleetLeases, leased.len() as u64);
                     return Some(leased);
                 }
                 // Every candidate was dead; retry immediately — more
@@ -233,11 +201,11 @@ impl WorkerPool {
         }
     }
 
-    /// `(leases granted, connections reclaimed dead)` over the pool's
-    /// lifetime, for `Ping` accounting.
+    /// `(leases granted, connections reclaimed dead)` over the
+    /// registry's lifetime, for `Ping` accounting.
     pub fn fleet_stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock_recover();
-        (inner.leases, inner.reclaimed)
+        let leases = self.metrics.get(Count::FleetLeases);
+        (leases, self.metrics.get(Count::FleetReclaims))
     }
 
     /// Return healthy connections to the pool (dropped when draining).
@@ -507,7 +475,7 @@ mod tests {
 
     #[test]
     fn acquire_times_out_on_an_empty_pool() {
-        let pool = WorkerPool::new();
+        let pool = WorkerPool::new(MetricsRegistry::new());
         let t0 = Instant::now();
         assert!(pool.lease(2, Duration::from_millis(50), "job").is_none());
         assert!(t0.elapsed() >= Duration::from_millis(50));
@@ -515,7 +483,7 @@ mod tests {
 
     #[test]
     fn drained_pool_rejects_registration_and_acquire() {
-        let pool = WorkerPool::new();
+        let pool = WorkerPool::new(MetricsRegistry::new());
         pool.drain();
         assert!(pool.lease(1, Duration::from_millis(10), "job").is_none());
         let (a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
@@ -525,7 +493,7 @@ mod tests {
 
     #[test]
     fn register_lease_release_cycle() {
-        let pool = WorkerPool::new();
+        let pool = WorkerPool::new(MetricsRegistry::new());
         let (a, _keep_a) = std::os::unix::net::UnixStream::pair().unwrap();
         let (b, _keep_b) = std::os::unix::net::UnixStream::pair().unwrap();
         assert!(pool.register(Stream::from(a), 11));
@@ -541,7 +509,7 @@ mod tests {
 
     #[test]
     fn dead_registrations_are_reclaimed_at_lease_time() {
-        let pool = WorkerPool::new();
+        let pool = WorkerPool::new(MetricsRegistry::new());
         let (dead, hangup) = std::os::unix::net::UnixStream::pair().unwrap();
         let (live, _keep_live) = std::os::unix::net::UnixStream::pair().unwrap();
         assert!(pool.register(Stream::from(dead), 11));
@@ -557,7 +525,7 @@ mod tests {
 
     #[test]
     fn leased_worker_receives_the_lease_frame() {
-        let pool = WorkerPool::new();
+        let pool = WorkerPool::new(MetricsRegistry::new());
         let (server_side, worker_side) = std::os::unix::net::UnixStream::pair().unwrap();
         assert!(pool.register(Stream::from(server_side), 7));
         let conns = pool.lease(1, Duration::from_millis(50), "job-42").unwrap();

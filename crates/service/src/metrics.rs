@@ -21,10 +21,12 @@
 //!    It is registered last in `analysis/lock_order.toml`, so holding
 //!    any other service lock while touching a counter is legal, and
 //!    nothing may be acquired while holding it.
-//! 3. **No drift.** [`CATALOG`] is the single source of truth for
-//!    metric names; [`MetricsRegistry::render`] iterates it, a unit
-//!    test asserts every catalog entry produces a sample, and another
-//!    asserts every entry is documented in `docs/metrics.md`.
+//! 3. **No drift.** A [`CATALOG`] row is the only place a metric is
+//!    spelled: its name, kind, and help text, plus a private source
+//!    that tells [`MetricsRegistry::render`] where to read the value
+//!    and so which labels its samples carry. A unit test pins the
+//!    rendered text, and another asserts every row is documented in
+//!    `docs/metrics.md` with its type and labels.
 //!
 //! The rendered form is Prometheus-style text exposition; the same
 //! string is served by the `Request::Metrics` protocol frame, the
@@ -61,6 +63,84 @@ impl MetricKind {
     }
 }
 
+/// A plain (unlabeled) counter of the registry, bumped with
+/// [`MetricsRegistry::add`] and read with [`MetricsRegistry::get`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Count {
+    /// Client connections accepted.
+    ConnectionsOpened,
+    /// Client connections that have ended.
+    ConnectionsClosed,
+    /// Jobs accepted into the queue.
+    JobsSubmitted,
+    /// Jobs that reached the Done state.
+    JobsCompleted,
+    /// Jobs that reached the Failed state.
+    JobsFailed,
+    /// Jobs that reached the Cancelled state.
+    JobsCancelled,
+    /// Folds that returned shard reports (rounds).
+    Rounds,
+    /// Wall milliseconds of those folds.
+    RoundWallMsTotal,
+    /// Wall milliseconds of the latest such fold (the meter stores it).
+    RoundWallMsLast,
+    /// Iterations those folds consumed.
+    Items,
+    /// Submissions answered from a retained result.
+    CacheHits,
+    /// Submissions that ran as a cache primary.
+    CacheMisses,
+    /// Submissions attached to an in-flight primary.
+    CacheFollowers,
+    /// Worker leases granted by the fleet pool.
+    FleetLeases,
+    /// Dead worker connections reclaimed by the fleet pool.
+    FleetReclaims,
+}
+
+/// One wire direction: the four series every wire scope keeps, the
+/// index into a [`WireCounters`] array and into the client windows.
+#[derive(Clone, Copy, Debug)]
+enum Dir {
+    MessagesIn,
+    MessagesOut,
+    BytesIn,
+    BytesOut,
+}
+
+/// Where [`MetricsRegistry::render`] reads a catalog row's samples.
+/// The row's label set follows from it.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// A plain count; unlabeled.
+    Count(Count),
+    /// All client traffic in one direction; unlabeled.
+    Wire(Dir),
+    /// Leased-worker traffic in one direction; unlabeled.
+    WorkerWire(Dir),
+    /// Client traffic in one direction, labeled `client`.
+    ClientWire(Dir),
+    /// Jobs submitted, labeled `client`.
+    ClientJobs,
+    /// Traffic on each open connection, labeled `conn,client`.
+    ConnWire(Dir),
+    /// Client traffic in the trailing 60 s window; unlabeled.
+    Window(Dir),
+    /// Rounds in the trailing 60 s window; unlabeled.
+    RoundsWindow,
+    /// A per-class field, labeled `class`.
+    Class(fn(&ClassCounters) -> &AtomicU64),
+    /// A per-stage field, labeled `stage`.
+    Stage(fn(&StageCounters) -> &AtomicU64),
+    /// A value sampled from another subsystem at render time.
+    Gauge(fn(&RenderGauges) -> u64),
+    /// Seconds since the registry was created.
+    Uptime,
+    /// Connections opened minus connections closed.
+    OpenConnections,
+}
+
 /// One documented entry of the metric catalog.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricDef {
@@ -68,26 +148,26 @@ pub struct MetricDef {
     pub name: &'static str,
     /// Counter or gauge.
     pub kind: MetricKind,
-    /// Comma-separated label names; empty for unlabeled families.
-    pub labels: &'static str,
+    /// Where the samples are read, and so which labels they carry.
+    source: Source,
     /// One-line meaning, emitted verbatim as the `# HELP` text.
     pub help: &'static str,
 }
 
-const fn counter(name: &'static str, labels: &'static str, help: &'static str) -> MetricDef {
+const fn counter(name: &'static str, source: Source, help: &'static str) -> MetricDef {
     MetricDef {
         name,
         kind: MetricKind::Counter,
-        labels,
+        source,
         help,
     }
 }
 
-const fn gauge(name: &'static str, labels: &'static str, help: &'static str) -> MetricDef {
+const fn gauge(name: &'static str, source: Source, help: &'static str) -> MetricDef {
     MetricDef {
         name,
         kind: MetricKind::Gauge,
-        labels,
+        source,
         help,
     }
 }
@@ -95,270 +175,265 @@ const fn gauge(name: &'static str, labels: &'static str, help: &'static str) -> 
 /// Every metric family the registry exports, in exposition order.
 ///
 /// `docs/metrics.md` documents exactly this list; a test fails when a
-/// name is added here without a matching row there (or vice versa).
+/// name is added here without a matching row there (or vice versa), or
+/// when a row's type or labels disagree with the rendered samples.
 pub const CATALOG: &[MetricDef] = &[
     gauge(
         "seqpoint_uptime_seconds",
-        "",
+        Source::Uptime,
         "Seconds since this daemon process started.",
     ),
     counter(
         "seqpoint_connections_opened_total",
-        "",
+        Source::Count(Count::ConnectionsOpened),
         "Client connections accepted (Unix socket and TCP).",
     ),
     counter(
         "seqpoint_connections_closed_total",
-        "",
+        Source::Count(Count::ConnectionsClosed),
         "Client connections that have ended.",
     ),
     gauge(
         "seqpoint_connections_open",
-        "",
+        Source::OpenConnections,
         "Client connections currently open.",
     ),
     counter(
         "seqpoint_messages_in_total",
-        "",
+        Source::Wire(Dir::MessagesIn),
         "Protocol frames received from clients.",
     ),
     counter(
         "seqpoint_messages_out_total",
-        "",
+        Source::Wire(Dir::MessagesOut),
         "Protocol frames sent to clients.",
     ),
     counter(
         "seqpoint_bytes_in_total",
-        "",
+        Source::Wire(Dir::BytesIn),
         "Wire bytes received from clients (NDJSON lines incl. newline).",
     ),
     counter(
         "seqpoint_bytes_out_total",
-        "",
+        Source::Wire(Dir::BytesOut),
         "Wire bytes sent to clients (NDJSON lines incl. newline).",
     ),
     counter(
         "seqpoint_client_messages_in_total",
-        "client",
+        Source::ClientWire(Dir::MessagesIn),
         "Protocol frames received, by announced client identity.",
     ),
     counter(
         "seqpoint_client_messages_out_total",
-        "client",
+        Source::ClientWire(Dir::MessagesOut),
         "Protocol frames sent, by announced client identity.",
     ),
     counter(
         "seqpoint_client_bytes_in_total",
-        "client",
+        Source::ClientWire(Dir::BytesIn),
         "Wire bytes received, by announced client identity.",
     ),
     counter(
         "seqpoint_client_bytes_out_total",
-        "client",
+        Source::ClientWire(Dir::BytesOut),
         "Wire bytes sent, by announced client identity.",
     ),
     counter(
         "seqpoint_client_jobs_submitted_total",
-        "client",
+        Source::ClientJobs,
         "Jobs accepted into the queue, by announced client identity.",
     ),
     counter(
         "seqpoint_conn_messages_in_total",
-        "conn,client",
+        Source::ConnWire(Dir::MessagesIn),
         "Protocol frames received on each currently open connection.",
     ),
     counter(
         "seqpoint_conn_messages_out_total",
-        "conn,client",
+        Source::ConnWire(Dir::MessagesOut),
         "Protocol frames sent on each currently open connection.",
     ),
     counter(
         "seqpoint_conn_bytes_in_total",
-        "conn,client",
+        Source::ConnWire(Dir::BytesIn),
         "Wire bytes received on each currently open connection.",
     ),
     counter(
         "seqpoint_conn_bytes_out_total",
-        "conn,client",
+        Source::ConnWire(Dir::BytesOut),
         "Wire bytes sent on each currently open connection.",
     ),
     counter(
         "seqpoint_jobs_submitted_total",
-        "",
+        Source::Count(Count::JobsSubmitted),
         "Jobs accepted into the queue (cache followers included).",
     ),
     counter(
         "seqpoint_jobs_completed_total",
-        "",
+        Source::Count(Count::JobsCompleted),
         "Jobs that reached the Done state.",
     ),
     counter(
         "seqpoint_jobs_failed_total",
-        "",
+        Source::Count(Count::JobsFailed),
         "Jobs that reached the Failed state.",
     ),
     counter(
         "seqpoint_jobs_cancelled_total",
-        "",
+        Source::Count(Count::JobsCancelled),
         "Jobs that reached the Cancelled state.",
     ),
     gauge(
         "seqpoint_jobs_running",
-        "",
+        Source::Gauge(|g| g.jobs_running),
         "Jobs executing rounds right now (sampled at render time).",
     ),
     counter(
         "seqpoint_rounds_total",
-        "",
+        Source::Count(Count::Rounds),
         "Profiling rounds completed across all jobs.",
     ),
     counter(
         "seqpoint_round_wall_ms_total",
-        "",
+        Source::Count(Count::RoundWallMsTotal),
         "Cumulative wall-clock milliseconds spent executing rounds.",
     ),
     gauge(
         "seqpoint_round_wall_ms_last",
-        "",
+        Source::Count(Count::RoundWallMsLast),
         "Wall-clock milliseconds of the most recently completed round.",
     ),
     counter(
         "seqpoint_items_total",
-        "",
+        Source::Count(Count::Items),
         "Iterations (batch items) measured across all completed rounds.",
     ),
     counter(
         "seqpoint_stage_items_in_total",
-        "stage",
+        Source::Stage(|s| &s.items_in),
         "Items consumed per streaming-pipeline stage (operator-graph runs).",
     ),
     counter(
         "seqpoint_stage_items_out_total",
-        "stage",
+        Source::Stage(|s| &s.items_out),
         "Items produced per streaming-pipeline stage (operator-graph runs).",
     ),
     counter(
         "seqpoint_stage_wall_ms_total",
-        "stage",
+        Source::Stage(|s| &s.wall_ms),
         "Wall milliseconds spent per streaming-pipeline stage.",
     ),
     gauge(
         "seqpoint_queue_depth",
-        "class",
+        Source::Class(|c| &c.queue_depth),
         "Jobs waiting in the scheduler queue, per fairness class.",
     ),
     counter(
         "seqpoint_queue_wait_ms_total",
-        "class",
+        Source::Class(|c| &c.queue_wait_ms_total),
         "Cumulative milliseconds jobs waited in queue, per class.",
     ),
     counter(
         "seqpoint_queue_dequeued_total",
-        "class",
+        Source::Class(|c| &c.dequeued_total),
         "Jobs dispatched from the queue to a runner, per class.",
     ),
     counter(
         "seqpoint_cache_hits_total",
-        "",
+        Source::Count(Count::CacheHits),
         "Submissions answered from a retained result (Admission::Ready).",
     ),
     counter(
         "seqpoint_cache_misses_total",
-        "",
+        Source::Count(Count::CacheMisses),
         "Submissions that had to run as a cache primary.",
     ),
     counter(
         "seqpoint_cache_followers_total",
-        "",
+        Source::Count(Count::CacheFollowers),
         "Submissions attached to an in-flight primary (single-flight).",
     ),
     gauge(
         "seqpoint_cache_entries",
-        "",
+        Source::Gauge(|g| g.cache_entries),
         "Retained ready results in the cache (sampled at render time).",
     ),
     counter(
         "seqpoint_fleet_leases_total",
-        "",
+        Source::Count(Count::FleetLeases),
         "Worker leases granted to rounds by the fleet pool.",
     ),
     counter(
         "seqpoint_fleet_reclaims_total",
-        "",
+        Source::Count(Count::FleetReclaims),
         "Dead worker connections reclaimed by the fleet pool.",
     ),
     gauge(
         "seqpoint_fleet_idle",
-        "",
+        Source::Gauge(|g| g.fleet_idle),
         "Idle workers in the fleet pool (sampled at render time).",
     ),
     counter(
         "seqpoint_worker_messages_in_total",
-        "",
+        Source::WorkerWire(Dir::MessagesIn),
         "Round replies received from leased workers.",
     ),
     counter(
         "seqpoint_worker_messages_out_total",
-        "",
+        Source::WorkerWire(Dir::MessagesOut),
         "Round tasks sent to leased workers.",
     ),
     counter(
         "seqpoint_worker_bytes_in_total",
-        "",
+        Source::WorkerWire(Dir::BytesIn),
         "Wire bytes received from leased workers.",
     ),
     counter(
         "seqpoint_worker_bytes_out_total",
-        "",
+        Source::WorkerWire(Dir::BytesOut),
         "Wire bytes sent to leased workers.",
     ),
     gauge(
         "seqpoint_messages_in_60s",
-        "",
+        Source::Window(Dir::MessagesIn),
         "Client frames received in the trailing 60-second window.",
     ),
     gauge(
         "seqpoint_messages_out_60s",
-        "",
+        Source::Window(Dir::MessagesOut),
         "Client frames sent in the trailing 60-second window.",
     ),
     gauge(
         "seqpoint_bytes_in_60s",
-        "",
+        Source::Window(Dir::BytesIn),
         "Client bytes received in the trailing 60-second window.",
     ),
     gauge(
         "seqpoint_bytes_out_60s",
-        "",
+        Source::Window(Dir::BytesOut),
         "Client bytes sent in the trailing 60-second window.",
     ),
     gauge(
         "seqpoint_rounds_60s",
-        "",
+        Source::RoundsWindow,
         "Rounds completed in the trailing 60-second window.",
     ),
 ];
 
-/// Directional message/byte counters shared by the global, per-client,
-/// and per-connection scopes.
-#[derive(Debug, Default)]
-struct WireCounters {
-    messages_in: AtomicU64,
-    messages_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
+/// Directional message/byte counters shared by the global, worker,
+/// per-client, and per-connection scopes, indexed by [`Dir`].
+type WireCounters = [AtomicU64; 4];
+
+/// Add `n` to slot `i` of a counter array.
+fn bump(slots: &[AtomicU64], i: usize, n: u64) {
+    if let Some(slot) = slots.get(i) {
+        slot.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
-impl WireCounters {
-    fn record_in(&self, bytes: u64) {
-        self.messages_in.fetch_add(1, Ordering::Relaxed);
-        self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn record_out(&self, bytes: u64) {
-        self.messages_out.fetch_add(1, Ordering::Relaxed);
-        self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-    }
+/// Slot `i` of a counter array.
+fn read(slots: &[AtomicU64], i: usize) -> u64 {
+    slots.get(i).map_or(0, |slot| slot.load(Ordering::Relaxed))
 }
 
 /// Number of one-second buckets in a [`Window`].
@@ -436,11 +511,7 @@ impl ClassCounters {
 
     /// A job left the queue for a runner after waiting `wait_ms`.
     pub fn dequeued(&self, wait_ms: u64) {
-        let _ = self
-            .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
+        self.removed();
         self.queue_wait_ms_total
             .fetch_add(wait_ms, Ordering::Relaxed);
         self.dequeued_total.fetch_add(1, Ordering::Relaxed);
@@ -505,31 +576,16 @@ pub struct RenderGauges {
 pub struct MetricsRegistry {
     start: Instant,
     next_conn: AtomicU64,
-    connections_opened: AtomicU64,
-    connections_closed: AtomicU64,
+    /// The plain counters, indexed by [`Count`].
+    counts: [AtomicU64; Count::FleetReclaims as usize + 1],
     wire: WireCounters,
     worker_wire: WireCounters,
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    rounds_total: AtomicU64,
-    round_wall_ms_total: AtomicU64,
-    round_wall_ms_last: AtomicU64,
-    items_total: AtomicU64,
     stages: [StageCounters; 5],
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_followers: AtomicU64,
-    fleet_leases: AtomicU64,
-    fleet_reclaims: AtomicU64,
     interactive: ClassCounters,
     batch: ClassCounters,
-    window_messages_in: Window,
-    window_messages_out: Window,
-    window_bytes_in: Window,
-    window_bytes_out: Window,
-    window_rounds: Window,
+    /// Trailing windows of client traffic, indexed by [`Dir`].
+    windows: [Window; 4],
+    rounds_window: Window,
     inner: Mutex<Dynamic>,
 }
 
@@ -541,31 +597,14 @@ impl MetricsRegistry {
         Arc::new(MetricsRegistry {
             start: Instant::now(),
             next_conn: AtomicU64::new(1),
-            connections_opened: AtomicU64::new(0),
-            connections_closed: AtomicU64::new(0),
-            wire: WireCounters::default(),
-            worker_wire: WireCounters::default(),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_cancelled: AtomicU64::new(0),
-            rounds_total: AtomicU64::new(0),
-            round_wall_ms_total: AtomicU64::new(0),
-            round_wall_ms_last: AtomicU64::new(0),
-            items_total: AtomicU64::new(0),
+            counts: Default::default(),
+            wire: Default::default(),
+            worker_wire: Default::default(),
             stages: Default::default(),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_followers: AtomicU64::new(0),
-            fleet_leases: AtomicU64::new(0),
-            fleet_reclaims: AtomicU64::new(0),
             interactive: ClassCounters::default(),
             batch: ClassCounters::default(),
-            window_messages_in: Window::default(),
-            window_messages_out: Window::default(),
-            window_bytes_in: Window::default(),
-            window_bytes_out: Window::default(),
-            window_rounds: Window::default(),
+            windows: Default::default(),
+            rounds_window: Window::default(),
             inner: Mutex::new(Dynamic::default()),
         })
     }
@@ -574,11 +613,21 @@ impl MetricsRegistry {
         self.start.elapsed().as_secs()
     }
 
+    /// Add `n` to a plain counter.
+    pub fn add(&self, count: Count, n: u64) {
+        bump(&self.counts, count as usize, n);
+    }
+
+    /// The current value of a plain counter.
+    pub fn get(&self, count: Count) -> u64 {
+        read(&self.counts, count as usize)
+    }
+
     /// Register a new client connection; the returned handle counts
     /// wire traffic for it and unregisters on drop.
     pub fn conn_opened(self: &Arc<MetricsRegistry>) -> ConnMetrics {
         let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.connections_opened.fetch_add(1, Ordering::Relaxed);
+        self.add(Count::ConnectionsOpened, 1);
         let wire = Arc::new(WireCounters::default());
         self.inner.lock_recover().conns.insert(
             id,
@@ -605,66 +654,28 @@ impl MetricsRegistry {
 
     /// A job was accepted into the queue, attributed to `client`.
     pub fn job_submitted(&self, client: &str) {
-        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        self.add(Count::JobsSubmitted, 1);
         self.client_scope(client)
             .jobs_submitted
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A job reached the Done state.
-    pub fn job_completed(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job reached the Failed state.
-    pub fn job_failed(&self) {
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job reached the Cancelled state.
-    pub fn job_cancelled(&self) {
-        self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission was answered from a retained cached result.
-    pub fn cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission missed the cache and runs as a primary.
-    pub fn cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission attached to an in-flight primary.
-    pub fn cache_follower(&self) {
-        self.cache_followers.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Submissions answered without their own profiling run: retained
     /// results plus single-flight followers (the `Ping` count).
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed) + self.cache_followers.load(Ordering::Relaxed)
-    }
-
-    /// The fleet pool granted `n` worker leases.
-    pub fn fleet_leased(&self, n: u64) {
-        self.fleet_leases.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The fleet pool reclaimed `n` dead worker connections.
-    pub fn fleet_reclaimed(&self, n: u64) {
-        self.fleet_reclaims.fetch_add(n, Ordering::Relaxed);
+        self.get(Count::CacheHits) + self.get(Count::CacheFollowers)
     }
 
     /// A reply of `bytes` arrived from a leased worker.
     pub fn worker_in(&self, bytes: u64) {
-        self.worker_wire.record_in(bytes);
+        bump(&self.worker_wire, Dir::MessagesIn as usize, 1);
+        bump(&self.worker_wire, Dir::BytesIn as usize, bytes);
     }
 
     /// A task of `bytes` was sent to a leased worker.
     pub fn worker_out(&self, bytes: u64) {
-        self.worker_wire.record_out(bytes);
+        bump(&self.worker_wire, Dir::MessagesOut as usize, 1);
+        bump(&self.worker_wire, Dir::BytesOut as usize, bytes);
     }
 
     fn client_scope(&self, name: &str) -> Arc<ClientScope> {
@@ -680,7 +691,7 @@ impl MetricsRegistry {
     }
 
     fn conn_closed(&self, id: u64) {
-        self.connections_closed.fetch_add(1, Ordering::Relaxed);
+        self.add(Count::ConnectionsClosed, 1);
         self.inner.lock_recover().conns.remove(&id);
     }
 
@@ -696,156 +707,74 @@ impl MetricsRegistry {
     /// lock briefly and must stay a lock-order leaf).
     pub fn render(&self, gauges: &RenderGauges) -> String {
         let now_s = self.now_s();
-        // Snapshot the dynamic maps once, in stable order, then render
-        // without the lock.
-        let (clients, conns) = {
+        // Snapshot the dynamic maps once, then render without the lock.
+        let (mut clients, mut conns): (Vec<_>, Vec<_>) = {
             let inner = self.inner.lock_recover();
-            let mut clients: Vec<(String, Arc<ClientScope>)> = inner
-                .clients
-                .iter()
-                .map(|(k, v)| (k.clone(), Arc::clone(v)))
-                .collect();
-            clients.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut conns: Vec<(u64, Option<String>, Arc<WireCounters>)> = inner
-                .conns
-                .iter()
-                .map(|(id, e)| (*id, e.client.clone(), Arc::clone(&e.wire)))
-                .collect();
-            conns.sort_by_key(|c| c.0);
-            (clients, conns)
+            let clients = inner.clients.iter();
+            let conns = inner.conns.iter();
+            (
+                clients.map(|(k, v)| (k.clone(), Arc::clone(v))).collect(),
+                conns
+                    .map(|(id, e)| (*id, e.client.clone(), Arc::clone(&e.wire)))
+                    .collect(),
+            )
         };
+        clients.sort_by(|a, b| a.0.cmp(&b.0));
+        conns.sort_by_key(|c| c.0);
+        let client_label = |name: &str| format!("{{client=\"{}\"}}", escape_label(name));
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::new();
         for def in CATALOG {
-            let _ = writeln!(out, "# HELP {} {}", def.name, def.help);
-            let _ = writeln!(out, "# TYPE {} {}", def.name, def.kind.keyword());
-            let plain = |out: &mut String, v: u64| {
-                let _ = writeln!(out, "{} {v}", def.name);
+            let name = def.name;
+            let _ = writeln!(out, "# HELP {name} {}", def.help);
+            let _ = writeln!(out, "# TYPE {name} {}", def.kind.keyword());
+            let mut sample = |labels: &str, value: u64| {
+                let _ = writeln!(out, "{name}{labels} {value}");
             };
-            let by_class = |out: &mut String, pick: fn(&ClassCounters) -> &AtomicU64| {
-                for class in [JobClass::Interactive, JobClass::Batch] {
-                    let _ = writeln!(
-                        out,
-                        "{}{{class=\"{}\"}} {}",
-                        def.name,
-                        class.label(),
-                        load(pick(self.class(class)))
-                    );
+            match def.source {
+                Source::Count(count) => sample("", self.get(count)),
+                Source::Wire(dir) => sample("", read(&self.wire, dir as usize)),
+                Source::WorkerWire(dir) => sample("", read(&self.worker_wire, dir as usize)),
+                Source::ClientWire(dir) => {
+                    for (who, scope) in &clients {
+                        sample(&client_label(who), read(&scope.wire, dir as usize));
+                    }
                 }
-            };
-            let by_client = |out: &mut String, pick: fn(&ClientScope) -> &AtomicU64| {
-                for (name, scope) in &clients {
-                    let _ = writeln!(
-                        out,
-                        "{}{{client=\"{}\"}} {}",
-                        def.name,
-                        escape_label(name),
-                        load(pick(scope))
-                    );
+                Source::ClientJobs => {
+                    for (who, scope) in &clients {
+                        sample(&client_label(who), load(&scope.jobs_submitted));
+                    }
                 }
-            };
-            let by_stage = |out: &mut String, pick: fn(&StageCounters) -> &AtomicU64| {
-                for (stage, slot) in StageId::ALL.iter().zip(&self.stages) {
-                    let _ = writeln!(
-                        out,
-                        "{}{{stage=\"{}\"}} {}",
-                        def.name,
-                        stage.label(),
-                        load(pick(slot))
-                    );
+                Source::ConnWire(dir) => {
+                    for (id, who, wire) in &conns {
+                        let who = escape_label(who.as_deref().unwrap_or(""));
+                        let labels = format!("{{conn=\"{id}\",client=\"{who}\"}}");
+                        sample(&labels, read(wire.as_ref(), dir as usize));
+                    }
                 }
-            };
-            let by_conn = |out: &mut String, pick: fn(&WireCounters) -> &AtomicU64| {
-                for (id, client, wire) in &conns {
-                    let who = client.as_deref().unwrap_or("");
-                    let _ = writeln!(
-                        out,
-                        "{}{{conn=\"{id}\",client=\"{}\"}} {}",
-                        def.name,
-                        escape_label(who),
-                        load(pick(wire))
-                    );
+                Source::Window(dir) => {
+                    let window = self.windows.get(dir as usize);
+                    sample("", window.map_or(0, |w| w.sum(now_s)));
                 }
-            };
-            match def.name {
-                "seqpoint_uptime_seconds" => plain(&mut out, now_s),
-                "seqpoint_connections_opened_total" => {
-                    plain(&mut out, load(&self.connections_opened));
+                Source::RoundsWindow => sample("", self.rounds_window.sum(now_s)),
+                Source::Class(pick) => {
+                    for class in [JobClass::Interactive, JobClass::Batch] {
+                        let labels = format!("{{class=\"{}\"}}", class.label());
+                        sample(&labels, load(pick(self.class(class))));
+                    }
                 }
-                "seqpoint_connections_closed_total" => {
-                    plain(&mut out, load(&self.connections_closed));
+                Source::Stage(pick) => {
+                    for (stage, slot) in StageId::ALL.iter().zip(&self.stages) {
+                        let labels = format!("{{stage=\"{}\"}}", stage.label());
+                        sample(&labels, load(pick(slot)));
+                    }
                 }
-                "seqpoint_connections_open" => plain(
-                    &mut out,
-                    load(&self.connections_opened).saturating_sub(load(&self.connections_closed)),
-                ),
-                "seqpoint_messages_in_total" => plain(&mut out, load(&self.wire.messages_in)),
-                "seqpoint_messages_out_total" => plain(&mut out, load(&self.wire.messages_out)),
-                "seqpoint_bytes_in_total" => plain(&mut out, load(&self.wire.bytes_in)),
-                "seqpoint_bytes_out_total" => plain(&mut out, load(&self.wire.bytes_out)),
-                "seqpoint_client_messages_in_total" => {
-                    by_client(&mut out, |s| &s.wire.messages_in);
+                Source::Gauge(pick) => sample("", pick(gauges)),
+                Source::Uptime => sample("", now_s),
+                Source::OpenConnections => {
+                    let open = self.get(Count::ConnectionsOpened);
+                    sample("", open.saturating_sub(self.get(Count::ConnectionsClosed)));
                 }
-                "seqpoint_client_messages_out_total" => {
-                    by_client(&mut out, |s| &s.wire.messages_out);
-                }
-                "seqpoint_client_bytes_in_total" => by_client(&mut out, |s| &s.wire.bytes_in),
-                "seqpoint_client_bytes_out_total" => by_client(&mut out, |s| &s.wire.bytes_out),
-                "seqpoint_client_jobs_submitted_total" => {
-                    by_client(&mut out, |s| &s.jobs_submitted);
-                }
-                "seqpoint_conn_messages_in_total" => by_conn(&mut out, |w| &w.messages_in),
-                "seqpoint_conn_messages_out_total" => by_conn(&mut out, |w| &w.messages_out),
-                "seqpoint_conn_bytes_in_total" => by_conn(&mut out, |w| &w.bytes_in),
-                "seqpoint_conn_bytes_out_total" => by_conn(&mut out, |w| &w.bytes_out),
-                "seqpoint_jobs_submitted_total" => plain(&mut out, load(&self.jobs_submitted)),
-                "seqpoint_jobs_completed_total" => plain(&mut out, load(&self.jobs_completed)),
-                "seqpoint_jobs_failed_total" => plain(&mut out, load(&self.jobs_failed)),
-                "seqpoint_jobs_cancelled_total" => plain(&mut out, load(&self.jobs_cancelled)),
-                "seqpoint_jobs_running" => plain(&mut out, gauges.jobs_running),
-                "seqpoint_rounds_total" => plain(&mut out, load(&self.rounds_total)),
-                "seqpoint_round_wall_ms_total" => {
-                    plain(&mut out, load(&self.round_wall_ms_total));
-                }
-                "seqpoint_round_wall_ms_last" => plain(&mut out, load(&self.round_wall_ms_last)),
-                "seqpoint_items_total" => plain(&mut out, load(&self.items_total)),
-                "seqpoint_stage_items_in_total" => by_stage(&mut out, |s| &s.items_in),
-                "seqpoint_stage_items_out_total" => by_stage(&mut out, |s| &s.items_out),
-                "seqpoint_stage_wall_ms_total" => by_stage(&mut out, |s| &s.wall_ms),
-                "seqpoint_queue_depth" => by_class(&mut out, |c| &c.queue_depth),
-                "seqpoint_queue_wait_ms_total" => by_class(&mut out, |c| &c.queue_wait_ms_total),
-                "seqpoint_queue_dequeued_total" => by_class(&mut out, |c| &c.dequeued_total),
-                "seqpoint_cache_hits_total" => plain(&mut out, load(&self.cache_hits)),
-                "seqpoint_cache_misses_total" => plain(&mut out, load(&self.cache_misses)),
-                "seqpoint_cache_followers_total" => plain(&mut out, load(&self.cache_followers)),
-                "seqpoint_cache_entries" => plain(&mut out, gauges.cache_entries),
-                "seqpoint_fleet_leases_total" => plain(&mut out, load(&self.fleet_leases)),
-                "seqpoint_fleet_reclaims_total" => plain(&mut out, load(&self.fleet_reclaims)),
-                "seqpoint_fleet_idle" => plain(&mut out, gauges.fleet_idle),
-                "seqpoint_worker_messages_in_total" => {
-                    plain(&mut out, load(&self.worker_wire.messages_in));
-                }
-                "seqpoint_worker_messages_out_total" => {
-                    plain(&mut out, load(&self.worker_wire.messages_out));
-                }
-                "seqpoint_worker_bytes_in_total" => {
-                    plain(&mut out, load(&self.worker_wire.bytes_in));
-                }
-                "seqpoint_worker_bytes_out_total" => {
-                    plain(&mut out, load(&self.worker_wire.bytes_out));
-                }
-                "seqpoint_messages_in_60s" => {
-                    plain(&mut out, self.window_messages_in.sum(now_s));
-                }
-                "seqpoint_messages_out_60s" => {
-                    plain(&mut out, self.window_messages_out.sum(now_s));
-                }
-                "seqpoint_bytes_in_60s" => plain(&mut out, self.window_bytes_in.sum(now_s)),
-                "seqpoint_bytes_out_60s" => plain(&mut out, self.window_bytes_out.sum(now_s)),
-                "seqpoint_rounds_60s" => plain(&mut out, self.window_rounds.sum(now_s)),
-                // Unreachable while the catalog and this match agree;
-                // the `render_covers_every_catalog_entry` test pins it.
-                _ => {}
             }
         }
         out
@@ -866,14 +795,13 @@ impl StageMeter for MetricsRegistry {
             slot.wall_ms.fetch_add(sample.wall_ms, Ordering::Relaxed);
         }
         if stage == StageId::Fold && sample.items_out > 0 {
-            self.rounds_total.fetch_add(1, Ordering::Relaxed);
-            self.round_wall_ms_total
-                .fetch_add(sample.wall_ms, Ordering::Relaxed);
-            self.round_wall_ms_last
-                .store(sample.wall_ms, Ordering::Relaxed);
-            self.items_total
-                .fetch_add(sample.items_in, Ordering::Relaxed);
-            self.window_rounds.record(self.now_s(), 1);
+            self.add(Count::Rounds, 1);
+            self.add(Count::RoundWallMsTotal, sample.wall_ms);
+            if let Some(last) = self.counts.get(Count::RoundWallMsLast as usize) {
+                last.store(sample.wall_ms, Ordering::Relaxed);
+            }
+            self.add(Count::Items, sample.items_in);
+            self.rounds_window.record(self.now_s(), 1);
         }
     }
 }
@@ -915,31 +843,28 @@ impl ConnMetrics {
 
     /// One protocol frame of `bytes` arrived on this connection.
     pub fn record_in(&self, bytes: u64) {
-        self.registry.wire.record_in(bytes);
-        self.registry
-            .window_messages_in
-            .record(self.registry.now_s(), 1);
-        self.registry
-            .window_bytes_in
-            .record(self.registry.now_s(), bytes);
-        self.conn.record_in(bytes);
-        if let Some(scope) = self.client.get() {
-            scope.wire.record_in(bytes);
-        }
+        self.record([(Dir::MessagesIn, 1), (Dir::BytesIn, bytes)]);
     }
 
     /// One protocol frame of `bytes` was sent on this connection.
     pub fn record_out(&self, bytes: u64) {
-        self.registry.wire.record_out(bytes);
-        self.registry
-            .window_messages_out
-            .record(self.registry.now_s(), 1);
-        self.registry
-            .window_bytes_out
-            .record(self.registry.now_s(), bytes);
-        self.conn.record_out(bytes);
-        if let Some(scope) = self.client.get() {
-            scope.wire.record_out(bytes);
+        self.record([(Dir::MessagesOut, 1), (Dir::BytesOut, bytes)]);
+    }
+
+    /// Count each `(direction, amount)` globally, in its window, on
+    /// this connection, and for its client once one is announced.
+    fn record(&self, amounts: [(Dir, u64); 2]) {
+        let registry = &self.registry;
+        let now_s = registry.now_s();
+        for (dir, n) in amounts {
+            bump(&registry.wire, dir as usize, n);
+            if let Some(window) = registry.windows.get(dir as usize) {
+                window.record(now_s, n);
+            }
+            bump(self.conn.as_ref(), dir as usize, n);
+            if let Some(scope) = self.client.get() {
+                bump(&scope.wire, dir as usize, n);
+            }
         }
     }
 }
@@ -954,28 +879,44 @@ impl Drop for ConnMetrics {
 mod tests {
     use super::*;
 
-    fn sample_registry() -> Arc<MetricsRegistry> {
+    /// A registry after a fixed event script that gives every scope
+    /// data: two live connections (one client name needs escaping) and
+    /// one closed, every [`Count`], one stage sample, one sample per
+    /// class. The handles keep the per-connection series alive.
+    fn sample_registry() -> (Arc<MetricsRegistry>, [ConnMetrics; 2]) {
         let registry = MetricsRegistry::new();
-        let conn = registry.conn_opened();
-        conn.record_in(64);
-        conn.set_client("tester");
-        conn.record_in(100);
-        conn.record_out(500);
+        let a = registry.conn_opened();
+        a.record_in(64);
+        a.set_client("tester");
+        a.record_in(100);
+        a.record_out(500);
+        let odd = "odd \"name\"\\\n2";
+        let b = registry.conn_opened();
+        b.set_client(odd);
+        b.record_in(7);
+        b.record_out(9);
+        drop(registry.conn_opened());
         registry.job_submitted("tester");
-        registry.job_completed();
-        registry.job_failed();
-        registry.job_cancelled();
-        registry.cache_hit();
-        registry.cache_miss();
-        registry.cache_follower();
-        registry.fleet_leased(3);
-        registry.fleet_reclaimed(1);
+        registry.job_submitted(odd);
+        registry.add(Count::JobsCompleted, 4);
+        registry.add(Count::JobsFailed, 2);
+        registry.add(Count::JobsCancelled, 1);
+        registry.add(Count::CacheHits, 1);
+        registry.add(Count::CacheMisses, 3);
+        registry.add(Count::CacheFollowers, 2);
+        registry.add(Count::FleetLeases, 5);
+        registry.add(Count::FleetReclaims, 2);
         registry.worker_in(40);
         registry.worker_out(80);
-        registry.class(JobClass::Interactive).enqueued();
-        registry.class(JobClass::Interactive).dequeued(7);
-        registry.class(JobClass::Batch).enqueued();
-        registry.class(JobClass::Batch).removed();
+        let interactive = registry.class(JobClass::Interactive);
+        interactive.enqueued();
+        interactive.enqueued();
+        interactive.dequeued(7);
+        let batch = registry.class(JobClass::Batch);
+        batch.enqueued();
+        batch.dequeued(3);
+        batch.enqueued();
+        batch.removed();
         registry.record(
             StageId::Fold,
             StageSample {
@@ -984,8 +925,40 @@ mod tests {
                 wall_ms: 9,
             },
         );
-        std::mem::forget(conn); // keep the per-conn series alive
-        registry
+        (registry, [a, b])
+    }
+
+    fn render_sample(registry: &MetricsRegistry) -> String {
+        registry.render(&RenderGauges {
+            jobs_running: 2,
+            cache_entries: 5,
+            fleet_idle: 1,
+        })
+    }
+
+    /// The exposition of [`sample_registry`] is pinned byte for byte:
+    /// every name, `# HELP`, `# TYPE`, label set, sample order, and
+    /// value. The fixture was rendered before catalog rows carried
+    /// their sources; only the uptime value is masked.
+    #[test]
+    fn exposition_matches_the_pinned_text() {
+        let started = Instant::now();
+        let (registry, _conns) = sample_registry();
+        let text = render_sample(&registry);
+        let mut masked = String::new();
+        for line in text.lines() {
+            let uptime = line.strip_prefix("seqpoint_uptime_seconds ");
+            if let Some(value) = uptime {
+                let value: u64 = value.parse().expect("uptime is an integer");
+                assert!(value <= started.elapsed().as_secs());
+                masked.push_str("seqpoint_uptime_seconds UPTIME");
+            } else {
+                masked.push_str(line);
+            }
+            masked.push('\n');
+        }
+        let pinned = include_str!("../tests/fixtures/metrics_exposition.txt");
+        assert_eq!(masked, pinned);
     }
 
     /// Stage samples accumulate into the `stage`-labeled families, and
@@ -1030,12 +1003,8 @@ mod tests {
     /// drop a documented metric.
     #[test]
     fn render_covers_every_catalog_entry() {
-        let registry = sample_registry();
-        let text = registry.render(&RenderGauges {
-            jobs_running: 2,
-            cache_entries: 5,
-            fleet_idle: 1,
-        });
+        let (registry, _conns) = sample_registry();
+        let text = render_sample(&registry);
         for def in CATALOG {
             let has_sample = text.lines().any(|l| {
                 l.strip_prefix(def.name)
@@ -1061,21 +1030,75 @@ mod tests {
         }
     }
 
+    /// Label names of one sample line of `name`, joined by `,` (empty
+    /// for an unlabeled sample); `None` if the line is not a sample of
+    /// `name`.
+    fn label_names(line: &str, name: &str) -> Option<String> {
+        let rest = line.strip_prefix(name)?;
+        if rest.starts_with(' ') {
+            return Some(String::new());
+        }
+        let mut rest = rest.strip_prefix('{')?;
+        let mut names = Vec::new();
+        loop {
+            let (label, value) = rest.split_once("=\"")?;
+            names.push(label);
+            let mut chars = value.char_indices();
+            let end = loop {
+                match chars.next()? {
+                    (_, '\\') => {
+                        chars.next();
+                    }
+                    (i, '"') => break i,
+                    _ => {}
+                }
+            };
+            rest = &value[end + 1..];
+            if let Some(more) = rest.strip_prefix(',') {
+                rest = more;
+            } else {
+                return rest.starts_with('}').then(|| names.join(","));
+            }
+        }
+    }
+
     /// `docs/metrics.md` documents exactly the catalog: every exported
-    /// name appears in the doc, and every `seqpoint_`-prefixed name
-    /// the doc mentions exists in the catalog. An undocumented counter
-    /// (or a stale doc row) fails here.
+    /// name has a table row whose Type column is the row's kind and
+    /// whose Labels column lists the label names its rendered samples
+    /// carry, and every `seqpoint_`-prefixed name the doc mentions
+    /// exists in the catalog. An undocumented counter, a stale doc
+    /// row, or a wrong Type or Labels cell fails here.
     #[test]
     fn docs_metrics_md_matches_the_catalog() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/metrics.md");
         let doc =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let (registry, _conns) = sample_registry();
+        let text = render_sample(&registry);
         for def in CATALOG {
-            assert!(
-                doc.contains(def.name),
-                "{} is exported but not documented in docs/metrics.md",
+            let prefix = format!("| `{}` |", def.name);
+            let row = doc.lines().find(|l| l.starts_with(&prefix));
+            let row = row.unwrap_or_else(|| {
+                panic!("{} is exported but has no row in docs/metrics.md", def.name)
+            });
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            assert_eq!(cells[2], def.kind.keyword(), "Type of {}", def.name);
+            let mut rendered: Vec<String> = text
+                .lines()
+                .filter_map(|l| label_names(l, def.name))
+                .collect();
+            rendered.dedup();
+            assert_eq!(
+                rendered.len(),
+                1,
+                "label sets of {}: {rendered:?}",
                 def.name
             );
+            let documented = match cells[3] {
+                "—" => String::new(),
+                cell => cell.replace('`', ""),
+            };
+            assert_eq!(documented, rendered[0], "Labels of {}", def.name);
         }
         let known: std::collections::HashSet<&str> = CATALOG.iter().map(|d| d.name).collect();
         for token in doc.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {

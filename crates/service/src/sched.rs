@@ -23,7 +23,7 @@
 //! server's `jobs` lock (never the other way around).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use seqpoint_core::protocol::JobClass;
@@ -155,15 +155,15 @@ pub struct Scheduler {
     cap: usize,
     inner: Mutex<SchedInner>,
     cv: Condvar,
-    /// Attached by the daemon after construction; absent in library
-    /// tests, where queue metrics are simply not recorded.
-    metrics: OnceLock<Arc<MetricsRegistry>>,
+    /// Receives per-class queue depth, wait time, and dispatch counts.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl Scheduler {
     /// A scheduler bounded at `cap` queued jobs. `fair` selects
     /// weighted-fair queueing; otherwise service is global FIFO.
-    pub fn new(fair: bool, cap: usize) -> Self {
+    /// Queue metrics are recorded in `metrics`.
+    pub fn new(fair: bool, cap: usize, metrics: Arc<MetricsRegistry>) -> Self {
         Scheduler {
             fair,
             cap,
@@ -174,15 +174,8 @@ impl Scheduler {
                 vclock: 0,
             }),
             cv: Condvar::new(),
-            metrics: OnceLock::new(),
+            metrics,
         }
-    }
-
-    /// Attach the daemon's metrics registry: from here on the scheduler
-    /// records per-class queue depth, wait time, and dispatch counts.
-    /// First call wins.
-    pub fn attach_metrics(&self, metrics: Arc<MetricsRegistry>) {
-        let _ = self.metrics.set(metrics);
     }
 
     /// Enqueue a new submission. Returns `false` when the queue is at
@@ -228,9 +221,7 @@ impl Scheduler {
             },
         );
         inner.len += 1;
-        if let Some(metrics) = self.metrics.get() {
-            metrics.class(class).enqueued();
-        }
+        self.metrics.class(class).enqueued();
     }
 
     /// Pop the next job to run, waiting up to `timeout` for one to
@@ -297,11 +288,9 @@ impl Scheduler {
         }?;
         inner.vclock = vclock;
         inner.len -= 1;
-        if let Some(metrics) = self.metrics.get() {
-            metrics
-                .class(pick)
-                .dequeued(job.queued_at.elapsed().as_millis() as u64);
-        }
+        self.metrics
+            .class(pick)
+            .dequeued(job.queued_at.elapsed().as_millis() as u64);
         Some(job.id)
     }
 
@@ -313,9 +302,7 @@ impl Scheduler {
             if let Some(queue) = inner.classes.get_mut(&class) {
                 if queue.remove(id) {
                     inner.len -= 1;
-                    if let Some(metrics) = self.metrics.get() {
-                        metrics.class(class).removed();
-                    }
+                    self.metrics.class(class).removed();
                     return true;
                 }
             }
@@ -354,7 +341,7 @@ mod tests {
 
     #[test]
     fn fifo_mode_preserves_arrival_order_across_classes_and_clients() {
-        let sched = Scheduler::new(false, 16);
+        let sched = Scheduler::new(false, 16, MetricsRegistry::new());
         assert!(sched.push("a1", JobClass::Batch, "a"));
         assert!(sched.push("b1", JobClass::Interactive, "b"));
         assert!(sched.push("a2", JobClass::Batch, "a"));
@@ -364,7 +351,7 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced_on_push_but_not_requeue() {
-        let sched = Scheduler::new(true, 2);
+        let sched = Scheduler::new(true, 2, MetricsRegistry::new());
         assert!(sched.push("j1", JobClass::Batch, "a"));
         assert!(sched.push("j2", JobClass::Batch, "a"));
         assert!(!sched.push("j3", JobClass::Batch, "a"), "over capacity");
@@ -374,7 +361,7 @@ mod tests {
 
     #[test]
     fn interactive_overtakes_a_batch_flood() {
-        let sched = Scheduler::new(true, 64);
+        let sched = Scheduler::new(true, 64, MetricsRegistry::new());
         for i in 0..10 {
             assert!(sched.push(&format!("b{i}"), JobClass::Batch, "bulk"));
         }
@@ -389,7 +376,7 @@ mod tests {
 
     #[test]
     fn weights_ration_slots_under_sustained_contention() {
-        let sched = Scheduler::new(true, 64);
+        let sched = Scheduler::new(true, 64, MetricsRegistry::new());
         for i in 0..20 {
             assert!(sched.push(&format!("i{i}"), JobClass::Interactive, "x"));
             assert!(sched.push(&format!("b{i}"), JobClass::Batch, "y"));
@@ -411,7 +398,7 @@ mod tests {
 
     #[test]
     fn clients_within_a_class_are_served_round_robin() {
-        let sched = Scheduler::new(true, 64);
+        let sched = Scheduler::new(true, 64, MetricsRegistry::new());
         for i in 0..3 {
             assert!(sched.push(&format!("a{i}"), JobClass::Batch, "alice"));
         }
@@ -426,7 +413,7 @@ mod tests {
 
     #[test]
     fn idle_class_gets_no_retroactive_credit() {
-        let sched = Scheduler::new(true, 64);
+        let sched = Scheduler::new(true, 64, MetricsRegistry::new());
         // Batch runs alone for a while, advancing its vtime.
         for i in 0..8 {
             assert!(sched.push(&format!("b{i}"), JobClass::Batch, "y"));
@@ -444,7 +431,7 @@ mod tests {
 
     #[test]
     fn remove_unlinks_a_queued_job() {
-        let sched = Scheduler::new(true, 16);
+        let sched = Scheduler::new(true, 16, MetricsRegistry::new());
         assert!(sched.push("j1", JobClass::Batch, "a"));
         assert!(sched.push("j2", JobClass::Batch, "a"));
         assert!(sched.remove("j1"));

@@ -46,7 +46,7 @@ use sqnn_profiler::{ProfileError, Profiler};
 
 use crate::cache::{Admission, CacheKey, ResultCache};
 use crate::executor::{SubprocessExecutor, ThrottledExecutor, WorkerPool};
-use crate::metrics::{ConnMetrics, MetricsRegistry, RenderGauges};
+use crate::metrics::{ConnMetrics, Count, MetricsRegistry, RenderGauges};
 use crate::sched::Scheduler;
 use crate::spec::{render_streamed, resolve};
 use crate::sync::{CondvarExt, LockExt};
@@ -316,6 +316,14 @@ impl Shared {
         self.draining.load(Ordering::Relaxed) || sig::TERM.load(Ordering::Relaxed)
     }
 
+    /// Jobs executing rounds right now: `Pong.running` and the
+    /// `seqpoint_jobs_running` gauge both read this.
+    fn running_jobs(&self) -> u64 {
+        let jobs = self.jobs.lock_recover();
+        let running = jobs.values().filter(|e| e.state == JobState::Running);
+        running.count() as u64
+    }
+
     fn start_drain(&self) {
         self.draining.store(true, Ordering::Relaxed);
         self.sched.notify_all();
@@ -441,11 +449,12 @@ impl Shared {
         entry.finish_seq = self.finish_counter.fetch_add(1, Ordering::Relaxed) + 1;
         entry.finished_at = Some(SystemTime::now());
         entry.spec = None;
-        match state {
-            JobState::Done => self.metrics.job_completed(),
-            JobState::Failed => self.metrics.job_failed(),
-            _ => self.metrics.job_cancelled(),
-        }
+        let count = match state {
+            JobState::Done => Count::JobsCompleted,
+            JobState::Failed => Count::JobsFailed,
+            _ => Count::JobsCancelled,
+        };
+        self.metrics.add(count, 1);
         self.settle_followers(jobs, id);
         self.gc_terminal(jobs);
         self.jobs_cv.notify_all();
@@ -860,11 +869,12 @@ fn submit(
         };
     }
     drop(jobs);
-    match admitted {
-        Admitted::Served => shared.metrics.cache_hit(),
-        Admitted::Follower => shared.metrics.cache_follower(),
-        Admitted::Primary => shared.metrics.cache_miss(),
-    }
+    let count = match admitted {
+        Admitted::Served => Count::CacheHits,
+        Admitted::Follower => Count::CacheFollowers,
+        Admitted::Primary => Count::CacheMisses,
+    };
+    shared.metrics.add(count, 1);
     shared.metrics.job_submitted(&client);
     Response::Submitted { job: id }
 }
@@ -1434,18 +1444,11 @@ fn handle_connection(shared: Arc<Shared>, mut stream: Stream, requires_auth: boo
                 return;
             }
             Request::Ping => {
-                let queued = shared.sched.len() as u64;
-                let running = {
-                    let jobs = shared.jobs.lock_recover();
-                    jobs.values()
-                        .filter(|e| e.state == JobState::Running)
-                        .count() as u64
-                };
                 let (fleet_leases, fleet_reclaimed) = shared.pool.fleet_stats();
                 Response::Pong {
                     version: PROTOCOL_VERSION,
-                    queued,
-                    running,
+                    queued: shared.sched.len() as u64,
+                    running: shared.running_jobs(),
                     workers: shared.worker_pids.lock_recover().clone(),
                     cache_hits: shared.metrics.cache_hits(),
                     cache_entries: shared.cache.entries(),
@@ -1488,17 +1491,10 @@ fn handle_connection(shared: Arc<Shared>, mut stream: Stream, requires_auth: boo
 /// `submit --stats` view, and the scrape endpoint all serve the
 /// identical text.
 fn metrics_text(shared: &Shared) -> String {
-    let jobs_running = {
-        let jobs = shared.jobs.lock_recover();
-        jobs.values()
-            .filter(|e| e.state == JobState::Running)
-            .count() as u64
-    };
-    let fleet_idle = shared.pool.idle_pids().len() as u64;
     shared.metrics.render(&RenderGauges {
-        jobs_running,
+        jobs_running: shared.running_jobs(),
         cache_entries: shared.cache.entries(),
-        fleet_idle,
+        fleet_idle: shared.pool.idle_pids().len() as u64,
     })
 }
 
@@ -1740,20 +1736,16 @@ pub fn serve(config: ServeConfig) -> Result<(), ServiceError> {
     sig::install();
 
     let metrics = MetricsRegistry::new();
-    let sched = Scheduler::new(config.fair, config.queue_cap);
-    sched.attach_metrics(Arc::clone(&metrics));
-    let pool = WorkerPool::new();
-    pool.attach_metrics(Arc::clone(&metrics));
     let shared = Arc::new(Shared {
-        config,
         jobs: Mutex::new(HashMap::new()),
         jobs_cv: Condvar::new(),
-        sched,
+        sched: Scheduler::new(config.fair, config.queue_cap, Arc::clone(&metrics)),
+        config,
         cache: ResultCache::new(),
         draining: AtomicBool::new(false),
         next_job: AtomicU64::new(1),
         finish_counter: AtomicU64::new(0),
-        pool,
+        pool: WorkerPool::new(Arc::clone(&metrics)),
         worker_pids: Mutex::new(Vec::new()),
         metrics,
     });

@@ -311,6 +311,49 @@ fn scrape_endpoint_serves_get_and_rejects_garbage() {
     let again = scrape("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     assert!(again.starts_with("HTTP/1.0 200 OK\r\n"), "{again}");
 
+    // Fuzzed request lines: seed-pinned random byte strings up to the
+    // 8 KB line cap, written whole and half-closed. A case gets `200`
+    // exactly when its first line is valid UTF-8 starting with `GET `.
+    let mut rng = SplitMix64(0x5eed_5c4a_9e00_0001);
+    let mut served = 0;
+    for case in 0..200 {
+        let request = fuzz_request(&mut rng, case);
+        let first = request.split(|&b| b == b'\n').next().unwrap_or(&[]);
+        let valid = std::str::from_utf8(first).is_ok_and(|l| l.starts_with("GET "));
+        served += usize::from(valid);
+        let want = if valid {
+            "HTTP/1.0 200 OK\r\n"
+        } else {
+            "HTTP/1.0 400 Bad Request\r\n"
+        };
+        let mut conn = TcpStream::connect(&addr).unwrap();
+        conn.write_all(&request).unwrap();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        // Only the status line matters; a reset after it is no failure.
+        let mut response = Vec::new();
+        let _ = conn.read_to_end(&mut response);
+        assert!(
+            response.starts_with(want.as_bytes()),
+            "case {case} ({} bytes, first line {:?}): got {:?}",
+            request.len(),
+            String::from_utf8_lossy(&first[..first.len().min(40)]),
+            String::from_utf8_lossy(&response[..response.len().min(40)])
+        );
+    }
+    assert!(
+        served > 0 && served < 200,
+        "the inputs must exercise both answers ({served} of 200 served)"
+    );
+    // A 64 KB line with no newline overruns the cap; whatever that
+    // connection sees, the endpoint must go on serving.
+    if let Ok(mut conn) = TcpStream::connect(&addr) {
+        let _ = conn.write_all(&vec![b'G'; 64 * 1024]);
+        let _ = conn.shutdown(std::net::Shutdown::Write);
+        let _ = conn.read_to_end(&mut Vec::new());
+    }
+    let after = scrape("GET / HTTP/1.0\r\n\r\n");
+    assert!(after.starts_with("HTTP/1.0 200 OK\r\n"), "{after}");
+
     // The protocol surface agrees with the scrape surface.
     let wire = fetch_metrics(&mut client);
     assert!(wire.contains("seqpoint_uptime_seconds"));
@@ -400,4 +443,57 @@ fn registry_restarts_zeroed_with_the_daemon() {
 
     shutdown(&socket);
     handle.join().unwrap();
+}
+
+/// SplitMix64: a tiny seed-pinned generator for the fuzzed inputs.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len() as u64) as usize]
+    }
+}
+
+/// One fuzzed scrape request of at most 8 KB. Half the cases start
+/// with `GET `; the body mixes arbitrary bytes (mostly not UTF-8),
+/// printable ASCII with and without newlines, and multi-byte UTF-8
+/// with the odd stray continuation byte.
+fn fuzz_request(rng: &mut SplitMix64, case: u64) -> Vec<u8> {
+    const CAP: u64 = 8 * 1024;
+    let len = match case % 3 {
+        0 => rng.below(16),
+        1 => rng.below(256),
+        _ => rng.below(CAP + 1),
+    } as usize;
+    let mut out = Vec::with_capacity(len);
+    if rng.below(2) == 0 {
+        out.extend_from_slice(b"GET ");
+    }
+    let mode = rng.below(4);
+    while out.len() < len {
+        match mode {
+            0 => out.push(rng.below(256) as u8),
+            1 => out.push(*rng.pick(b" \r\nGET/abc~")),
+            2 => out.push(b' ' + rng.below(95) as u8),
+            _ => match rng.below(8) {
+                0 => out.push(0x80 | rng.below(64) as u8),
+                1 => out.push(b'\n'),
+                _ => out.extend_from_slice(rng.pick(&["é", "€", "😀", "a"]).as_bytes()),
+            },
+        }
+    }
+    out.truncate(CAP as usize);
+    out
 }
